@@ -34,10 +34,36 @@ type Config struct {
 }
 
 // Forest is the BB-forest: M subspace BB-trees plus the shared page store.
+// Every tree indexes the same ids, the store's; mutate them through Insert
+// and Delete so the forest's count of live ids stays provable.
 type Forest struct {
 	Trees []*bbtree.Tree
 	Parts [][]int
 	Store *disk.Store
+
+	// absent counts store ids known to sit in no tree's leaves (deleted
+	// ones): Store.Len() − absent bounds the distinct ids a query can
+	// collect from above, and is exact unless a Delete could not vouch for
+	// some tree, so a query that has collected that many has them all.
+	absent int
+}
+
+// FromTrees assembles a forest from already-built trees over store (the
+// load path), counting the store ids no leaf holds.
+func FromTrees(trees []*bbtree.Tree, parts [][]int, store *disk.Store) *Forest {
+	held := make([]bool, store.Len())
+	n := 0
+	for _, tree := range trees {
+		for i := range tree.Nodes {
+			for _, id := range tree.Nodes[i].IDs {
+				if !held[id] {
+					held[id] = true
+					n++
+				}
+			}
+		}
+	}
+	return &Forest{Trees: trees, Parts: parts, Store: store, absent: store.Len() - n}
 }
 
 // Build validates the partitioning, builds the reference tree, lays points
@@ -116,6 +142,37 @@ func Build(div bregman.Divergence, points [][]float64, parts [][]int, cfg Config
 // M returns the number of subspaces.
 func (f *Forest) M() int { return len(f.Trees) }
 
+// Insert appends p to the store's tail and to every subspace tree and
+// returns its id. Ids are never reused, so an id counted absent stays so.
+func (f *Forest) Insert(p []float64) (int, error) {
+	if err := f.Store.Append(p); err != nil {
+		return 0, err
+	}
+	id := f.Store.Len() - 1
+	for _, tree := range f.Trees {
+		tree.Insert(id, p)
+	}
+	return id, nil
+}
+
+// Delete removes id from every subspace tree and reports whether any held
+// it. The id is counted absent only when every tree either removed it or
+// never indexed it; a tree whose descent missed a point it may still hold
+// leaves the count short, which only disables the saturation exit.
+func (f *Forest) Delete(id int) bool {
+	removed, vouched := false, true
+	for _, tree := range f.Trees {
+		indexed := tree.SubPoint(id) != nil
+		found := tree.Delete(id)
+		removed = removed || found
+		vouched = vouched && (found || !indexed)
+	}
+	if removed && vouched {
+		f.absent++
+	}
+	return removed
+}
+
 // SearchScratch bundles every reusable buffer one candidate-union query
 // needs — the geodesic projector, the explicit DFS stack, the epoch-stamped
 // candidate dedup set, and the candidate accumulator — so a pooled scratch
@@ -143,8 +200,8 @@ func (f *Forest) CandidateUnion(q []float64, radii []float64, sess *disk.Session
 
 // CandidateUnionCtx is CandidateUnion with caller-pooled scratch: the
 // returned candidate slice aliases sc's buffer and is valid only until the
-// scratch's next query. The traversal is iterative (no per-query closures),
-// so a warm scratch performs the entire filter phase without allocating.
+// scratch's next query. A warm scratch performs the entire filter phase
+// without allocating.
 func (f *Forest) CandidateUnionCtx(q []float64, radii []float64, sess *disk.Session, sc *SearchScratch) ([]int, bbtree.Stats) {
 	return f.CandidateUnionFilterCtx(q, radii, sess, sc, nil)
 }
@@ -155,6 +212,10 @@ func (f *Forest) CandidateUnionCtx(q []float64, radii []float64, sess *disk.Sess
 // filtered query never touches (or pages in) a non-matching point. Each id
 // is tested at most once per query — the dedup stamp is set whether or not
 // the predicate admits it. keep == nil admits everything.
+//
+// Once every live id has been stamped (counted before keep is asked, so a
+// filter cannot fake it) the remaining trees could only repeat ids and are
+// not walked.
 func (f *Forest) CandidateUnionFilterCtx(q []float64, radii []float64, sess *disk.Session, sc *SearchScratch, keep func(id int) bool) ([]int, bbtree.Stats) {
 	if len(radii) != len(f.Trees) {
 		panic("bbforest: radii/subspace count mismatch")
@@ -162,41 +223,25 @@ func (f *Forest) CandidateUnionFilterCtx(q []float64, radii []float64, sess *dis
 	var total bbtree.Stats
 	sc.seen.Begin(f.Store.Len())
 	sc.cands = sc.cands[:0]
+	live, stamped := f.Store.Len()-f.absent, 0
+	emit := func(node *bbtree.Node) {
+		for _, id := range node.IDs {
+			if !sc.seen.TryMark(id) {
+				continue
+			}
+			stamped++
+			if keep != nil && !keep(id) {
+				continue
+			}
+			sess.Prefetch(id)
+			sc.cands = append(sc.cands, id)
+		}
+	}
 	for i, tree := range f.Trees {
-		if len(tree.Nodes) == 0 {
-			continue
+		if stamped == live {
+			break
 		}
-		r := radii[i]
-		sc.proj.Bind(tree, q)
-		work := sc.stack[:0]
-		work = append(work, 0)
-		for len(work) > 0 {
-			idx := work[len(work)-1]
-			work = work[:len(work)-1]
-			node := &tree.Nodes[idx]
-			total.NodesVisited++
-			lb := sc.proj.LowerBound(node)
-			total.BoundComps++
-			if lb > r {
-				continue
-			}
-			if node.IsLeaf() {
-				total.LeavesVisited++
-				for _, id := range node.IDs {
-					if !sc.seen.TryMark(id) {
-						continue
-					}
-					if keep != nil && !keep(id) {
-						continue
-					}
-					sess.Prefetch(id)
-					sc.cands = append(sc.cands, id)
-				}
-				continue
-			}
-			work = append(work, node.Right, node.Left)
-		}
-		sc.stack = work
+		total.Add(tree.RangeLeavesProj(q, radii[i], &sc.proj, &sc.stack, emit))
 	}
 	return sc.cands, total
 }

@@ -240,3 +240,90 @@ func TestPCCPLayoutReducesIO(t *testing.T) {
 		t.Fatalf("union pages %d exceed per-subspace sum %d", sess.PageReads(), sumPages)
 	}
 }
+
+// unionOf is the reference candidate union: every subspace walked (no
+// saturation exit), ids merged, keep applied afterwards.
+func unionOf(f *Forest, q, radii []float64, keep func(int) bool) map[int]bool {
+	union := map[int]bool{}
+	for _, ids := range f.CandidatesPerSubspace(q, radii) {
+		for _, id := range ids {
+			if keep == nil || keep(id) {
+				union[id] = true
+			}
+		}
+	}
+	return union
+}
+
+func sameIDSet(t *testing.T, what string, got []int, want map[int]bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got), len(want))
+	}
+	for _, id := range got {
+		if !want[id] {
+			t.Fatalf("%s: unexpected (or duplicate) candidate %d", what, id)
+		}
+		delete(want, id)
+	}
+}
+
+// TestSaturationExit pins when the filter may stop walking subspace trees:
+// only once every live id has been stamped, counted before keep is asked
+// and with deleted ids discounted only when the forest removed them itself.
+func TestSaturationExit(t *testing.T) {
+	points, div := testData(t, 300)
+	q := points[7]
+	wide := []float64{1e18, 1e18, 1e18}
+	// narrowFirst prunes in the first subspace, so its walk cannot saturate.
+	narrowFirst := []float64{0.05, 1e18, 1e18}
+	even := func(id int) bool { return id%2 == 0 }
+	var sc SearchScratch
+
+	f := buildForest(t, points, div, 3)
+	firstTree := f.Trees[0].RangeLeaves(q, wide[0], func(*bbtree.Node) {})
+	check := func(what string, radii []float64, keep func(int) bool, saturates bool) {
+		t.Helper()
+		got, st := f.CandidateUnionFilterCtx(q, radii, f.Store.NewSession(), &sc, keep)
+		sameIDSet(t, what, got, unionOf(f, q, radii, keep))
+		if stopped := st.NodesVisited == firstTree.NodesVisited; stopped != saturates {
+			t.Fatalf("%s: visited %d nodes (first tree alone: %d), want saturation exit = %v",
+				what, st.NodesVisited, firstTree.NodesVisited, saturates)
+		}
+	}
+	check("all ids", wide, nil, true)
+	check("all ids, filtered", wide, even, true)
+	check("first subspace pruned", narrowFirst, nil, false)
+	check("first subspace pruned, filtered", narrowFirst, even, false)
+
+	// Deletes through the forest are discounted: the exit still fires, and
+	// a forest re-assembled from the same trees counts them the same way.
+	for _, id := range []int{3, 50, 299} {
+		if !f.Delete(id) {
+			t.Fatalf("Delete(%d) found nothing", id)
+		}
+	}
+	if f.Delete(50) {
+		t.Fatal("second Delete(50) reported a removal")
+	}
+	firstTree = f.Trees[0].RangeLeaves(q, wide[0], func(*bbtree.Node) {})
+	check("after deletes", wide, nil, true)
+	check("after deletes, filtered", wide, even, true)
+	f = FromTrees(f.Trees, f.Parts, f.Store)
+	check("re-assembled", wide, nil, true)
+
+	// An insert grows the live count with the store.
+	id, err := f.Insert(points[11])
+	if err != nil || id != 300 {
+		t.Fatalf("Insert = %d, %v", id, err)
+	}
+	firstTree = f.Trees[0].RangeLeaves(q, wide[0], func(*bbtree.Node) {})
+	check("after insert", wide, nil, true)
+
+	// A tombstone the forest cannot vouch for — the id left one tree behind
+	// the forest's back — must not be discounted: the first tree comes up
+	// one id short of the live count, so the others are still walked and
+	// the id is still found.
+	f.Trees[0].Delete(120)
+	check("unvouched delete", wide, nil, false)
+}

@@ -423,6 +423,7 @@ type Projector struct {
 	q       []float64 // query in subspace coordinates
 	gq      []float64 // ∇f(q)
 	gmu     []float64 // ∇f(center), refreshed per node
+	prep    []float64 // kern.PrepQuery(q): hoisted terms of D_f(·, q)
 	scratch []float64 // generic-kernel geodesic scratch
 }
 
@@ -435,9 +436,11 @@ func (p *Projector) Bind(t *Tree, qFull []float64) {
 	p.q = grow(p.q, d)
 	p.gq = grow(p.gq, d)
 	p.gmu = grow(p.gmu, d)
+	p.prep = grow(p.prep, p.kern.QueryScratchLen(d))
 	p.scratch = grow(p.scratch, d)
 	gatherInto(p.q, qFull, t.Dims)
 	p.kern.GradVec(p.gq, p.q)
+	p.kern.PrepQuery(p.prep, p.q)
 }
 
 // grow returns a slice of length n, reusing buf's backing array when it is
@@ -452,8 +455,36 @@ func grow(buf []float64, n int) []float64 {
 // LowerBound returns a provable lower bound on min{D_f(x, q) : x ∈ ball of
 // node}. It never overestimates: when the geometry or arithmetic is
 // uncertain it returns the best finite bound found so far (0 in the worst
-// case — no pruning).
+// case — no pruning). Best-first search orders its queue by this value;
+// range traversals, which only compare it with a radius, ask Prunes.
 func (p *Projector) LowerBound(node *Node) float64 {
+	return p.bound(node, 0, false)
+}
+
+// Prunes decides "does node's lower bound exceed r?" — whether a range
+// query of radius r may skip the subtree — without running the bisection
+// past the point where the answer is certain. The decision equals
+// LowerBound(node) > r up to rounding at the boundary, where it errs
+// towards keeping the node.
+func (p *Projector) Prunes(node *Node, r float64) bool {
+	return p.bound(node, r, true) > r
+}
+
+// bound runs the θ bisection. With decide unset it runs every iteration
+// and returns the best bound found. With decide set it returns as soon as
+// the comparison with r is settled, the returned bound standing on the
+// settled side of r:
+//
+//   - keep, a witness: a point of the ball within r of the query caps the
+//     true minimum, hence every valid lower bound, at r. The ball's center
+//     is one (D_f(µ, µ) = 0 ≤ R) when D_f(µ, q) ≤ r — one distance, no
+//     bisection; so is any geodesic point with dMu ≤ R and dQ ≤ r.
+//   - prune: L(θ) lower-bounds the minimum for every θ, so the first
+//     L(θ) > r is as final as the maximum over all iterations.
+func (p *Projector) bound(node *Node, r float64, decide bool) float64 {
+	if decide && p.kern.DistancePrep(node.Center, p.q, p.prep) <= r {
+		return 0
+	}
 	dq := p.kern.Distance(p.q, node.Center)
 	if dq <= node.Radius {
 		return 0 // query inside the ball
@@ -473,27 +504,18 @@ func (p *Projector) LowerBound(node *Node) float64 {
 		if !math.IsNaN(lb) && lb > best {
 			best = lb
 		}
-		if dMu > node.Radius {
+		outside := dMu > node.Radius
+		if decide && (best > r || (!outside && dQ <= r)) {
+			return best
+		}
+		if outside {
 			lo = theta // still outside: move toward the center
 		} else {
 			hi = theta
 		}
 	}
-	if best < 0 {
-		best = 0
-	}
 	return best
 }
-
-// newProjector is the legacy single-query constructor (tests use it).
-func (t *Tree) newProjector(qFull []float64) *Projector {
-	p := &Projector{}
-	p.Bind(t, qFull)
-	return p
-}
-
-// lowerBound is the legacy name for LowerBound.
-func (p *Projector) lowerBound(node *Node) float64 { return p.LowerBound(node) }
 
 // ---------------------------------------------------------------------------
 // Exact kNN (Cayton 2008 style best-first search).
@@ -503,61 +525,27 @@ func (p *Projector) lowerBound(node *Node) float64 { return p.LowerBound(node) }
 // (id, distance) pairs sorted ascending. q is given in full-dimensional
 // coordinates; the tree's subspace view is applied internally.
 func (t *Tree) KNN(q []float64, k int) ([]topk.Item, Stats) {
-	return t.KNNVisit(q, k, nil)
+	return t.KNNBudget(q, k, 0, nil)
 }
 
 // KNNVisit is KNN with a hook invoked on every leaf whose points are
 // evaluated, letting callers charge disk I/O per visited cluster.
 func (t *Tree) KNNVisit(q []float64, k int, onLeaf func(*Node)) ([]topk.Item, Stats) {
-	var st Stats
-	if len(t.Nodes) == 0 || k <= 0 {
-		return nil, st
-	}
-	proj := t.newProjector(q)
-	sel := topk.New(k)
-	var pq topk.MinQueue
-	pq.Push(0, 0)
-	for pq.Len() > 0 {
-		it, _ := pq.Pop()
-		if thr, ok := sel.Threshold(); ok && it.Score > thr {
-			continue
-		}
-		node := &t.Nodes[it.ID]
-		st.NodesVisited++
-		if node.IsLeaf() {
-			st.LeavesVisited++
-			if onLeaf != nil {
-				onLeaf(node)
-			}
-			for _, id := range node.IDs {
-				d := t.kern.Distance(t.rowAt(id), proj.q)
-				st.DistanceComps++
-				sel.Offer(id, d)
-			}
-			continue
-		}
-		for _, child := range []int{node.Left, node.Right} {
-			cn := &t.Nodes[child]
-			lb := proj.LowerBound(cn)
-			st.BoundComps++
-			if thr, ok := sel.Threshold(); !ok || lb <= thr {
-				pq.Push(child, lb)
-			}
-		}
-	}
-	return sel.Items(), st
+	return t.KNNBudget(q, k, 0, onLeaf)
 }
 
-// KNNBudget is the approximate best-first variant used by the simulated
-// "Var" baseline (Coviello et al., ICML 2013): identical traversal, but
-// after the selector is full it stops once maxLeaves leaves have been
-// examined, trading exactness for fewer node expansions.
+// KNNBudget is the best-first search behind KNN. With maxLeaves > 0 it is
+// the approximate variant used by the simulated "Var" baseline (Coviello
+// et al., ICML 2013): identical traversal, but after the selector is full
+// it stops once maxLeaves leaves have been examined, trading exactness for
+// fewer node expansions. maxLeaves = 0 never stops early and is exact.
 func (t *Tree) KNNBudget(q []float64, k, maxLeaves int, onLeaf func(*Node)) ([]topk.Item, Stats) {
 	var st Stats
 	if len(t.Nodes) == 0 || k <= 0 {
 		return nil, st
 	}
-	proj := t.newProjector(q)
+	var proj Projector
+	proj.Bind(t, q)
 	sel := topk.New(k)
 	var pq topk.MinQueue
 	pq.Push(0, 0)
@@ -612,10 +600,10 @@ func (t *Tree) RangeLeaves(q []float64, r float64, visit func(node *Node)) Stats
 	return t.RangeLeavesProj(q, r, &proj, &stack, visit)
 }
 
-// RangeLeavesProj is RangeLeaves with caller-owned traversal state: proj
-// is rebound to this tree/query and stack (grown as needed) holds the
-// explicit DFS worklist, so repeated queries allocate nothing. The visit
-// callback must not retain the node.
+// RangeLeavesProj is the range traversal, with caller-owned state: proj is
+// rebound to this tree/query and stack (grown as needed) holds the explicit
+// DFS worklist, so repeated queries allocate nothing. The visit callback
+// must not retain the node.
 func (t *Tree) RangeLeavesProj(q []float64, r float64, proj *Projector, stack *[]int, visit func(node *Node)) Stats {
 	var st Stats
 	if len(t.Nodes) == 0 {
@@ -629,9 +617,8 @@ func (t *Tree) RangeLeavesProj(q []float64, r float64, proj *Projector, stack *[
 		work = work[:len(work)-1]
 		node := &t.Nodes[idx]
 		st.NodesVisited++
-		lb := proj.LowerBound(node)
 		st.BoundComps++
-		if lb > r {
+		if proj.Prunes(node, r) {
 			continue
 		}
 		if node.IsLeaf() {

@@ -201,13 +201,14 @@ func TestLowerBoundSoundness(t *testing.T) {
 		tree := Build(div, pts, nil, Config{LeafSize: 12, Seed: 17})
 		for trial := 0; trial < 10; trial++ {
 			q := domainVec(div, 5, rng)
-			proj := tree.newProjector(q)
+			var proj Projector
+			proj.Bind(tree, q)
 			for i := range tree.Nodes {
 				node := &tree.Nodes[i]
 				if !node.IsLeaf() {
 					continue
 				}
-				lb := proj.lowerBound(node)
+				lb := proj.LowerBound(node)
 				for _, id := range node.IDs {
 					d := bregman.Distance(div, tree.SubPoint(id), proj.q)
 					if lb > d+1e-9*(1+d) {
@@ -346,5 +347,125 @@ func TestGather(t *testing.T) {
 	cp[0] = -1
 	if p[0] != 10 {
 		t.Fatal("nil-dims Gather must copy")
+	}
+}
+
+// subtreeIDs returns, per node, the ids of every point in its subtree.
+func subtreeIDs(tree *Tree) [][]int {
+	out := make([][]int, len(tree.Nodes))
+	var walk func(idx int) []int
+	walk = func(idx int) []int {
+		node := &tree.Nodes[idx]
+		if node.IsLeaf() {
+			out[idx] = node.IDs
+		} else {
+			out[idx] = append(append([]int(nil), walk(node.Left)...), walk(node.Right)...)
+		}
+		return out[idx]
+	}
+	if len(tree.Nodes) > 0 {
+		walk(0)
+	}
+	return out
+}
+
+// decisionQueries mixes queries away from the data, queries that are data
+// points (inside their own balls) and, for full-line generators, a query
+// whose gradient overflows so the geodesic is not finite.
+func decisionQueries(div bregman.Divergence, pts [][]float64, rng *rand.Rand) [][]float64 {
+	var qs [][]float64
+	for i := 0; i < 4; i++ {
+		qs = append(qs, domainVec(div, len(pts[0]), rng), pts[rng.Intn(len(pts))])
+	}
+	if lo, _ := div.Domain(); math.IsInf(lo, -1) {
+		far := append([]float64(nil), pts[0]...)
+		far[0] = 720 // e^720 overflows: the exponential family's ∇f is +Inf
+		qs = append(qs, far)
+	}
+	return qs
+}
+
+// TestPrunesDecision pins the decision-form bound against the value form
+// and against brute force, per registered divergence: Prunes(node, r)
+// equals LowerBound(node) > r whenever the two are not within rounding of
+// each other, and never prunes a subtree holding a point within r.
+func TestPrunesDecision(t *testing.T) {
+	for di, div := range bregman.All() {
+		rng := rand.New(rand.NewSource(int64(100 + di)))
+		pts := clusteredPoints(div, 240, 5, int64(200+di))
+		tree := Build(div, pts, nil, Config{LeafSize: 8, Seed: int64(300 + di)})
+		subtree := subtreeIDs(tree)
+		for _, q := range decisionQueries(div, pts, rng) {
+			var proj Projector
+			proj.Bind(tree, q)
+			for ni := range tree.Nodes {
+				node := &tree.Nodes[ni]
+				lb := proj.LowerBound(node)
+				nearest := math.Inf(1)
+				for _, id := range subtree[ni] {
+					nearest = math.Min(nearest, tree.kern.Distance(tree.SubPoint(id), proj.q))
+				}
+				radii := []float64{-1, 0, math.Inf(1), rng.Float64() * 2 * nearest,
+					lb * (1 - 1e-3), lb * (1 + 1e-3), nearest * (1 - 1e-3), nearest * (1 + 1e-3)}
+				for _, r := range radii {
+					prune := proj.Prunes(node, r)
+					if prune && nearest <= r {
+						t.Fatalf("%s node %d r=%g: pruned, but a subtree point lies at %g", div.Name(), ni, r, nearest)
+					}
+					if math.Abs(lb-r) > 1e-9*(1+math.Abs(r)) && prune != (lb > r) {
+						t.Fatalf("%s node %d r=%g: Prunes = %v, LowerBound = %g", div.Name(), ni, r, prune, lb)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangeLeavesMatchesFullBisection pins the early-exit traversal's
+// candidate set to the one a traversal running every bisection to its last
+// iteration collects.
+func TestRangeLeavesMatchesFullBisection(t *testing.T) {
+	for di, div := range bregman.All() {
+		rng := rand.New(rand.NewSource(int64(400 + di)))
+		pts := clusteredPoints(div, 400, 6, int64(500+di))
+		tree := Build(div, pts, nil, Config{LeafSize: 10, Seed: int64(600 + di)})
+		for _, q := range decisionQueries(div, pts, rng) {
+			knn, _ := tree.KNN(q, 60)
+			for _, r := range []float64{0, knn[0].Score / 2, knn[4].Score, knn[59].Score, math.Inf(1)} {
+				var proj Projector
+				proj.Bind(tree, q)
+				want := map[int]bool{}
+				var walk func(idx int)
+				walk = func(idx int) {
+					node := &tree.Nodes[idx]
+					if proj.LowerBound(node) > r {
+						return
+					}
+					if node.IsLeaf() {
+						for _, id := range node.IDs {
+							want[id] = true
+						}
+						return
+					}
+					walk(node.Left)
+					walk(node.Right)
+				}
+				walk(0)
+				got := map[int]bool{}
+				tree.RangeLeaves(q, r, func(node *Node) {
+					for _, id := range node.IDs {
+						got[id] = true
+					}
+				})
+				if len(got) != len(want) {
+					t.Fatalf("%s r=%g: %d candidate ids, full bisection has %d", div.Name(), r, len(got), len(want))
+				}
+				for id := range want {
+					if !got[id] {
+						t.Fatalf("%s r=%g: id %d missing from the early-exit traversal", div.Name(), r, id)
+					}
+				}
+			}
+		}
 	}
 }

@@ -49,7 +49,8 @@ type Options struct {
 	// PageSize sets the simulated disk page size in bytes (0 = 32 KiB).
 	// Disk.PageSize overrides it when set.
 	PageSize int
-	// Tree and Disk configure the BB-forest in full detail.
+	// Tree and Disk configure the BB-forest in full detail; zero fields of
+	// either take their defaults one by one.
 	Tree bbtree.Config
 	Disk disk.Config
 	// CostSamples bounds the cost-model fitting sample (paper: 50).
@@ -79,12 +80,18 @@ func (o Options) withDefaults() Options {
 	if o.Tree.LeafSize <= 0 && o.LeafSize > 0 {
 		o.Tree.LeafSize = o.LeafSize
 	}
+	// The two disk fields default independently: a caller who sets one
+	// still gets the other's default (a negative IOPS turns the latency
+	// model off, as it does in package disk).
+	def := disk.DefaultConfig()
 	if o.Disk.PageSize <= 0 {
+		o.Disk.PageSize = def.PageSize
 		if o.PageSize > 0 {
 			o.Disk.PageSize = o.PageSize
-		} else {
-			o.Disk = disk.DefaultConfig()
 		}
+	}
+	if o.Disk.IOPS == 0 {
+		o.Disk.IOPS = def.IOPS
 	}
 	return o
 }
@@ -169,6 +176,21 @@ func (ix *Index) getCtx() *searchContext {
 }
 
 func (ix *Index) putCtx(c *searchContext) { ix.ctxPool.Put(c) }
+
+// prepQuery hoists q's kernel terms into the context's pooled buffer (nil
+// for a kernel that hoists nothing); it allocates nothing when warm.
+func (ix *Index) prepQuery(ctx *searchContext, q []float64) []float64 {
+	n := ix.kern.QueryScratchLen(len(q))
+	if n == 0 {
+		return nil
+	}
+	if cap(ctx.qprep) < n {
+		ctx.qprep = make([]float64, n)
+	}
+	prep := ctx.qprep[:n]
+	ix.kern.PrepQuery(prep, q)
+	return prep
+}
 
 // Kernel returns the monomorphized divergence kernel the index searches
 // with.
@@ -576,15 +598,7 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 	refineStart := time.Now()
 	if kr := min(k, len(cands)); kr > 0 {
 		ctx.sel.ResetK(kr)
-		var prep []float64
-		if n := ix.kern.QueryScratchLen(len(q)); n > 0 {
-			if cap(ctx.qprep) < n {
-				ctx.qprep = make([]float64, n)
-			}
-			prep = ctx.qprep[:n]
-			ix.kern.PrepQuery(prep, q)
-		}
-		scan.RefineCtx(ix.kern, ctx.sess, cands, q, ctx.sel, ctx.dist, prep)
+		scan.RefineCtx(ix.kern, ctx.sess, cands, q, ctx.sel, ctx.dist, ix.prepQuery(ctx, q))
 		dst = ctx.sel.AppendItems(dst)
 	}
 	refineTime := time.Since(refineStart)

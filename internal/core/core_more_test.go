@@ -270,3 +270,55 @@ func TestAllDatasetStandInsExact(t *testing.T) {
 		})
 	}
 }
+
+// TestOptionsDiskDefaults pins that the two disk fields default one by one:
+// setting either leaves the other at disk.DefaultConfig's value, whichever
+// of the two spellings of the page size is used.
+func TestOptionsDiskDefaults(t *testing.T) {
+	def := disk.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		in   Options
+		want disk.Config
+	}{
+		{"zero", Options{}, def},
+		{"PageSize only", Options{PageSize: 4096}, disk.Config{PageSize: 4096, IOPS: def.IOPS}},
+		{"Disk.PageSize only", Options{Disk: disk.Config{PageSize: 8192}}, disk.Config{PageSize: 8192, IOPS: def.IOPS}},
+		{"Disk.PageSize over PageSize", Options{PageSize: 4096, Disk: disk.Config{PageSize: 8192}}, disk.Config{PageSize: 8192, IOPS: def.IOPS}},
+		{"Disk.IOPS only", Options{Disk: disk.Config{IOPS: 123}}, disk.Config{PageSize: def.PageSize, IOPS: 123}},
+		{"PageSize and Disk.IOPS", Options{PageSize: 4096, Disk: disk.Config{IOPS: 123}}, disk.Config{PageSize: 4096, IOPS: 123}},
+		{"latency model off", Options{Disk: disk.Config{IOPS: -1}}, disk.Config{PageSize: def.PageSize, IOPS: -1}},
+	} {
+		if got := tc.in.withDefaults().Disk; got != tc.want {
+			t.Errorf("%s: Disk = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRangeSearchMatchesBruteForce pins RangeSearch's bounded verification:
+// ids and distances equal the brute-force range scan's, bit for bit, at
+// radii on both sides of the nearest neighbours.
+func TestRangeSearchMatchesBruteForce(t *testing.T) {
+	for _, divName := range []string{"ed", "isd", "l2"} {
+		ix, ds := buildSmall(t, divName, 3)
+		kern := ix.Kernel()
+		for qi, q := range dataset.SampleQueries(ds, 4, 5) {
+			knn := scan.KNN(ix.Div, ds.Points, q, 40)
+			for _, r := range []float64{0, knn[0].Score, knn[9].Score, knn[39].Score * 1.5} {
+				got, _, err := ix.RangeSearch(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := scan.Range(ix.Div, ds.Points, q, r)
+				if len(got) != len(want) {
+					t.Fatalf("%s query %d r=%g: %d results, want %d", divName, qi, r, len(got), len(want))
+				}
+				for _, it := range got {
+					if d := kern.Distance(ds.Points[it.ID], q); d != it.Score || d > r {
+						t.Fatalf("%s query %d r=%g: id %d reported at %g, distance is %g", divName, qi, r, it.ID, it.Score, d)
+					}
+				}
+			}
+		}
+	}
+}

@@ -293,7 +293,7 @@ func ReadFileWith(path string, resolve func(name string) (bregman.Divergence, er
 		Points: points,
 		Parts:  parts,
 		Tuples: tuples,
-		Forest: &bbforest.Forest{Trees: trees, Parts: parts, Store: store},
+		Forest: bbforest.FromTrees(trees, parts, store),
 		opts:   Options{Disk: disk.Config{PageSize: pageSize, IOPS: 50_000}},
 		d:      d,
 		kern:   kernel.For(div),

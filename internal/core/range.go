@@ -47,10 +47,13 @@ func (ix *Index) RangeSearch(q []float64, r float64) ([]topk.Item, SearchStats, 
 	}
 	cands, ts := ix.Forest.CandidateUnionCtx(q, ctx.radii, ctx.sess, &ctx.scratch)
 
+	// A distance is kept only when it is ≤ r, and up to r the bounded
+	// evaluation is exact; beyond it the sum is abandoned early.
+	prep := ix.prepQuery(ctx, q)
 	var out []topk.Item
 	for _, id := range cands {
 		p := ctx.sess.Point(id)
-		if d := ix.kern.Distance(p, q); d <= r {
+		if d := ix.kern.DistancePrepBound(p, q, prep, r); d <= r {
 			out = append(out, topk.Item{ID: id, Score: d})
 		}
 	}

@@ -30,20 +30,17 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	own := make([]float64, len(p))
 	copy(own, p)
 
-	// The store append is the only fallible step; it must run before any
-	// other structure learns the id, so a failure leaves the index exactly
-	// as it was (no tree or tuple may name an id the store lacks, and the
-	// version must not move, or the engine's result cache could alias a
-	// torn state).
-	if err := ix.Forest.Store.Append(own); err != nil {
+	// The forest's store append is the only fallible step and runs before
+	// any other structure learns the id, so a failure leaves the index
+	// exactly as it was (no tree or tuple may name an id the store lacks,
+	// and the version must not move, or the engine's result cache could
+	// alias a torn state).
+	id, err := ix.Forest.Insert(own)
+	if err != nil {
 		return 0, err
 	}
-	id := len(ix.Points)
 	ix.Points = append(ix.Points, own)
 	ix.Tuples = append(ix.Tuples, transform.PTransform(ix.Div, own, ix.Parts))
-	for _, tree := range ix.Forest.Trees {
-		tree.Insert(id, own)
-	}
 	if ix.deleted != nil {
 		ix.deleted = append(ix.deleted, false)
 	}
@@ -73,9 +70,7 @@ func (ix *Index) Delete(id int) bool {
 		return false
 	}
 	ix.deleted[id] = true
-	for _, tree := range ix.Forest.Trees {
-		tree.Delete(id)
-	}
+	ix.Forest.Delete(id)
 	// +Inf bound components sort the point last in QBDetermine, so it can
 	// no longer define (or tighten past) any searching radius.
 	for s := range ix.Tuples[id] {

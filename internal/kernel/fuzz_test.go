@@ -68,6 +68,13 @@ func FuzzKernelDistance(f *testing.F) {
 				t.Errorf("%s: kernel D(x,x) = %v, want 0 (x=%v)", kern.Name(), self, x)
 			}
 
+			// The bounded path returns the distance itself up to the limit
+			// and something beyond the limit past it.
+			prep := prepOf(kern, y)
+			for _, limit := range []float64{0, got / 2, got, 2 * got} {
+				checkBounded(t, kern, x, y, prep, limit)
+			}
+
 			// The block path must agree with the scalar kernel bit for bit.
 			block := Flatten([][]float64{x, y, x})
 			out := make([]float64, 3)

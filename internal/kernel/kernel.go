@@ -30,6 +30,10 @@
 //     values instead of recomputing them per point. Reading a stored
 //     float64 instead of re-deriving it from the same input is
 //     bit-identical, so hoisting never changes a result.
+//   - A distance is a sum of per-coordinate terms that convexity makes
+//     non-negative, so a partial sum above a limit settles "farther than the
+//     limit" without the remaining coordinates. DistancePrepBound stops
+//     there; DistancePrep is its +Inf-limit call, one loop for both.
 package kernel
 
 import (
@@ -131,6 +135,16 @@ type Kernel interface {
 	// scanning one query against points not in flat-block form.
 	DistancePrep(x, q, scratch []float64) float64
 
+	// DistancePrepBound is DistancePrep for callers that only care about
+	// distances up to limit (a selector's current k-th score, a range
+	// radius): whenever DistancePrep(x, q, scratch) ≤ limit it returns
+	// that value bit for bit, and otherwise it returns some value > limit
+	// — possibly a partial sum, abandoned as soon as it proves the
+	// distance exceeds the limit. The monomorphized kernels abandon
+	// against abandonBound(limit, …); the generic kernel never abandons.
+	// A NaN or +Inf limit disables abandoning.
+	DistancePrepBound(x, q, scratch []float64, limit float64) float64
+
 	// GradVec writes ∇f(y) into dst element-wise. dst must have
 	// len >= len(y) (panics otherwise); only dst[:len(y)] is written.
 	GradVec(dst, y []float64)
@@ -191,6 +205,26 @@ func clamp0(s float64) float64 {
 		return 0
 	}
 	return s
+}
+
+// Abandon margin. Mathematically every per-coordinate term is ≥ 0, so a
+// partial sum can only grow; in floating point a term φ(x)−p1−p2·(x−q) can
+// round slightly negative where x ≈ q (its operands cancel), by at most a few
+// ulps of the operand magnitudes, and each accumulation rounds by one ulp of
+// the running sum. abandonBound widens the limit by both: a relative
+// abandonRelEps (dominates d accumulation roundings for any d < 2²⁰) plus the
+// query's absolute slack, abandonSlackEps = 32 ulps of the summed operand
+// magnitudes (prepSlack, stored by PrepQuery behind the hoisted terms). A
+// partial sum above the widened limit therefore implies the completed sum
+// exceeds the limit itself. Squared Euclidean needs no margin: its terms are
+// squares, exactly ≥ 0, and its accumulators only grow.
+const (
+	abandonRelEps   = 0x1p-32
+	abandonSlackEps = 0x1p-48
+)
+
+func abandonBound(limit, slack float64) float64 {
+	return limit + (limit*abandonRelEps + slack)
 }
 
 // finite2 reports whether both accumulators are finite; an infinite or NaN
@@ -269,11 +303,8 @@ type l2Kernel struct{}
 func (l2Kernel) Name() string                   { return "l2" }
 func (l2Kernel) Divergence() bregman.Divergence { return bregman.SquaredEuclidean{} }
 
-func (l2Kernel) Distance(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("bregman: dimension mismatch")
-	}
-	return l2Sum(x, y)
+func (k l2Kernel) Distance(x, y []float64) float64 {
+	return k.DistancePrepBound(x, y, nil, math.Inf(1))
 }
 
 func (l2Kernel) DistancesTo(q []float64, block FlatBlock, out []float64) {
@@ -285,6 +316,13 @@ func (l2Kernel) QueryScratchLen(int) int  { return 0 }
 func (l2Kernel) PrepQuery(_, _ []float64) {}
 func (k l2Kernel) DistancePrep(x, q, _ []float64) float64 {
 	return k.Distance(x, q)
+}
+
+func (l2Kernel) DistancePrepBound(x, q, _ []float64, limit float64) float64 {
+	if len(x) != len(q) {
+		panic("bregman: dimension mismatch")
+	}
+	return l2Sum(x, q, limit)
 }
 
 func (l2Kernel) GradVec(dst, y []float64) {
@@ -333,17 +371,22 @@ func (k mahalanobisKernel) DistancesTo(q []float64, block FlatBlock, out []float
 	}
 }
 
-func (mahalanobisKernel) QueryScratchLen(d int) int { return 2 * d }
+func (mahalanobisKernel) QueryScratchLen(d int) int { return 2*d + 1 }
 
 func (k mahalanobisKernel) PrepQuery(scratch, q []float64) {
 	d := len(q)
 	mahaPrep(k.w, scratch[:d], scratch[d:2*d], q)
+	scratch[2*d] = prepSlack(scratch[:d], scratch[d:2*d], q)
 }
 
 func (k mahalanobisKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (k mahalanobisKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
 	d := len(q)
-	checkPrep(x, q, scratch, 2*d)
-	return clamp0(mahaPrepSum(k.w, x, q, scratch[:d], scratch[d:2*d]))
+	checkPrep(x, q, scratch, 2*d+1)
+	return clamp0(mahaPrepSum(k.w, x, q, scratch[:d], scratch[d:2*d], abandonBound(limit, scratch[2*d])))
 }
 
 func (k mahalanobisKernel) GradVec(dst, y []float64) {
@@ -391,17 +434,22 @@ func (k isKernel) DistancesTo(q []float64, block FlatBlock, out []float64) {
 	}
 }
 
-func (isKernel) QueryScratchLen(d int) int { return 2 * d }
+func (isKernel) QueryScratchLen(d int) int { return 2*d + 1 }
 
 func (isKernel) PrepQuery(scratch, q []float64) {
 	d := len(q)
 	isPrep(scratch[:d], scratch[d:2*d], q)
+	scratch[2*d] = prepSlack(scratch[:d], scratch[d:2*d], q)
 }
 
-func (isKernel) DistancePrep(x, q, scratch []float64) float64 {
+func (k isKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (isKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
 	d := len(q)
-	checkPrep(x, q, scratch, 2*d)
-	return clamp0(isPrepSum(x, q, scratch[:d], scratch[d:2*d]))
+	checkPrep(x, q, scratch, 2*d+1)
+	return clamp0(isPrepSum(x, q, scratch[:d], scratch[d:2*d], abandonBound(limit, scratch[2*d])))
 }
 
 func (isKernel) GradVec(dst, y []float64) {
@@ -454,15 +502,23 @@ func (k expKernel) DistancesTo(q []float64, block FlatBlock, out []float64) {
 	}
 }
 
-func (expKernel) QueryScratchLen(d int) int { return d }
+func (expKernel) QueryScratchLen(d int) int { return d + 1 }
 
 func (expKernel) PrepQuery(scratch, q []float64) {
-	expPrep(scratch[:len(q)], q)
+	d := len(q)
+	expPrep(scratch[:d], q)
+	// φ′ = φ = exp: the gradient factor is the hoisted term itself.
+	scratch[d] = prepSlack(scratch[:d], scratch[:d], q)
 }
 
-func (expKernel) DistancePrep(x, q, scratch []float64) float64 {
-	checkPrep(x, q, scratch, len(q))
-	return clamp0(expPrepSum(x, q, scratch[:len(q)]))
+func (k expKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (expKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
+	d := len(q)
+	checkPrep(x, q, scratch, d+1)
+	return clamp0(expPrepSum(x, q, scratch[:d], abandonBound(limit, scratch[d])))
 }
 
 func (expKernel) GradVec(dst, y []float64) {
@@ -513,17 +569,22 @@ func (k gklKernel) DistancesTo(q []float64, block FlatBlock, out []float64) {
 	}
 }
 
-func (gklKernel) QueryScratchLen(d int) int { return 2 * d }
+func (gklKernel) QueryScratchLen(d int) int { return 2*d + 1 }
 
 func (gklKernel) PrepQuery(scratch, q []float64) {
 	d := len(q)
 	gklPrep(scratch[:d], scratch[d:2*d], q)
+	scratch[2*d] = prepSlack(scratch[:d], scratch[d:2*d], q)
 }
 
-func (gklKernel) DistancePrep(x, q, scratch []float64) float64 {
+func (k gklKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (gklKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
 	d := len(q)
-	checkPrep(x, q, scratch, 2*d)
-	return clamp0(gklPrepSum(x, q, scratch[:d], scratch[d:2*d]))
+	checkPrep(x, q, scratch, 2*d+1)
+	return clamp0(gklPrepSum(x, q, scratch[:d], scratch[d:2*d], abandonBound(limit, scratch[2*d])))
 }
 
 func (gklKernel) GradVec(dst, y []float64) {
@@ -574,17 +635,22 @@ func (k shannonKernel) DistancesTo(q []float64, block FlatBlock, out []float64) 
 	}
 }
 
-func (shannonKernel) QueryScratchLen(d int) int { return 2 * d }
+func (shannonKernel) QueryScratchLen(d int) int { return 2*d + 1 }
 
 func (shannonKernel) PrepQuery(scratch, q []float64) {
 	d := len(q)
 	shannonPrep(scratch[:d], scratch[d:2*d], q)
+	scratch[2*d] = prepSlack(scratch[:d], scratch[d:2*d], q)
 }
 
-func (shannonKernel) DistancePrep(x, q, scratch []float64) float64 {
+func (k shannonKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (shannonKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
 	d := len(q)
-	checkPrep(x, q, scratch, 2*d)
-	return clamp0(shannonPrepSum(x, q, scratch[:d], scratch[d:2*d]))
+	checkPrep(x, q, scratch, 2*d+1)
+	return clamp0(shannonPrepSum(x, q, scratch[:d], scratch[d:2*d], abandonBound(limit, scratch[2*d])))
 }
 
 func (shannonKernel) GradVec(dst, y []float64) {
@@ -635,17 +701,22 @@ func (k burgKernel) DistancesTo(q []float64, block FlatBlock, out []float64) {
 	}
 }
 
-func (burgKernel) QueryScratchLen(d int) int { return 2 * d }
+func (burgKernel) QueryScratchLen(d int) int { return 2*d + 1 }
 
 func (burgKernel) PrepQuery(scratch, q []float64) {
 	d := len(q)
 	burgPrep(scratch[:d], scratch[d:2*d], q)
+	scratch[2*d] = prepSlack(scratch[:d], scratch[d:2*d], q)
 }
 
-func (burgKernel) DistancePrep(x, q, scratch []float64) float64 {
+func (k burgKernel) DistancePrep(x, q, scratch []float64) float64 {
+	return k.DistancePrepBound(x, q, scratch, math.Inf(1))
+}
+
+func (burgKernel) DistancePrepBound(x, q, scratch []float64, limit float64) float64 {
 	d := len(q)
-	checkPrep(x, q, scratch, 2*d)
-	return clamp0(burgPrepSum(x, q, scratch[:d], scratch[d:2*d]))
+	checkPrep(x, q, scratch, 2*d+1)
+	return clamp0(burgPrepSum(x, q, scratch[:d], scratch[d:2*d], abandonBound(limit, scratch[2*d])))
 }
 
 func (burgKernel) GradVec(dst, y []float64) {
@@ -691,6 +762,10 @@ func (genericKernel) QueryScratchLen(int) int  { return 0 }
 func (genericKernel) PrepQuery(_, _ []float64) {}
 
 func (k genericKernel) DistancePrep(x, q, _ []float64) float64 {
+	return bregman.Distance(k.div, x, q)
+}
+
+func (k genericKernel) DistancePrepBound(x, q, _ []float64, _ float64) float64 {
 	return bregman.Distance(k.div, x, q)
 }
 

@@ -17,6 +17,12 @@
 //     not one bit of any operand or result. Only the squared-Euclidean
 //     loops reassociate (documented-ULP contract): l2Sum runs 8-wide with
 //     four independent accumulators so the adds pipeline.
+//  3. Bounded sums. l2Sum and every …PrepSum take a bound and return their
+//     running total as soon as it exceeds it; a sum that runs to completion
+//     has performed exactly the unbounded operations, so it is bit-identical
+//     to the +Inf-bound call. kernel.go derives the bound from the caller's
+//     limit (abandonBound) so that an early return implies the completed
+//     sum would have exceeded the limit too.
 //
 // The unrolled bodies are written in the 4/8-wide single-induction shape
 // the compiler can keep in registers and, where the contract permits
@@ -30,8 +36,11 @@ import "math"
 // ---------------------------------------------------------------------------
 
 // l2Sum computes Σ(x−y)² with four independent 2-wide accumulator chains
-// (documented-ULP reassociation; exact at x = y in every lane).
-func l2Sum(x, y []float64) float64 {
+// (documented-ULP reassociation; exact at x = y in every lane). Every 16
+// coordinates (every second step: the remaining length's 8-bit flips per
+// step) the running total is compared with bound and returned as soon as it
+// exceeds it — exact, since every square is ≥ 0 and rounding is monotone.
+func l2Sum(x, y []float64, bound float64) float64 {
 	var s0, s1, s2, s3 float64
 	for len(x) >= 8 && len(y) >= 8 {
 		d0 := x[0] - y[0]
@@ -47,6 +56,9 @@ func l2Sum(x, y []float64) float64 {
 		s2 += d2*d2 + d6*d6
 		s3 += d3*d3 + d7*d7
 		x, y = x[8:], y[8:]
+		if len(x)&8 == 0 && s0+s1+s2+s3 > bound {
+			return s0 + s1 + s2 + s3
+		}
 	}
 	var s float64
 	for i := 0; i < len(x) && i < len(y); i++ {
@@ -119,7 +131,7 @@ func mahaPrep(w float64, p1, p2, q []float64) {
 }
 
 // mahaPrepSum is mahaSum with the query side read from mahaPrep's output.
-func mahaPrepSum(w float64, x, q, p1, p2 []float64) float64 {
+func mahaPrepSum(w float64, x, q, p1, p2 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 && len(p2) >= 4 {
 		s += w*x[0]*x[0] - p1[0] - p2[0]*(x[0]-q[0])
@@ -127,6 +139,9 @@ func mahaPrepSum(w float64, x, q, p1, p2 []float64) float64 {
 		s += w*x[2]*x[2] - p1[2] - p2[2]*(x[2]-q[2])
 		s += w*x[3]*x[3] - p1[3] - p2[3]*(x[3]-q[3])
 		x, q, p1, p2 = x[4:], q[4:], p1[4:], p2[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1) && i < len(p2); i++ {
 		s += w*x[i]*x[i] - p1[i] - p2[i]*(x[i]-q[i])
@@ -175,7 +190,7 @@ func isPrep(p1, p2, q []float64) {
 	}
 }
 
-func isPrepSum(x, q, p1, p2 []float64) float64 {
+func isPrepSum(x, q, p1, p2 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 && len(p2) >= 4 {
 		s += -math.Log(x[0]) - p1[0] - p2[0]*(x[0]-q[0])
@@ -183,6 +198,9 @@ func isPrepSum(x, q, p1, p2 []float64) float64 {
 		s += -math.Log(x[2]) - p1[2] - p2[2]*(x[2]-q[2])
 		s += -math.Log(x[3]) - p1[3] - p2[3]*(x[3]-q[3])
 		x, q, p1, p2 = x[4:], q[4:], p1[4:], p2[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1) && i < len(p2); i++ {
 		s += -math.Log(x[i]) - p1[i] - p2[i]*(x[i]-q[i])
@@ -238,7 +256,7 @@ func expPrep(p1, q []float64) {
 	}
 }
 
-func expPrepSum(x, q, p1 []float64) float64 {
+func expPrepSum(x, q, p1 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 {
 		s += math.Exp(x[0]) - p1[0] - p1[0]*(x[0]-q[0])
@@ -246,6 +264,9 @@ func expPrepSum(x, q, p1 []float64) float64 {
 		s += math.Exp(x[2]) - p1[2] - p1[2]*(x[2]-q[2])
 		s += math.Exp(x[3]) - p1[3] - p1[3]*(x[3]-q[3])
 		x, q, p1 = x[4:], q[4:], p1[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1); i++ {
 		s += math.Exp(x[i]) - p1[i] - p1[i]*(x[i]-q[i])
@@ -306,7 +327,7 @@ func gklPrep(p1, p2, q []float64) {
 	}
 }
 
-func gklPrepSum(x, q, p1, p2 []float64) float64 {
+func gklPrepSum(x, q, p1, p2 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 && len(p2) >= 4 {
 		s += (x[0]*math.Log(x[0]) - x[0]) - p1[0] - p2[0]*(x[0]-q[0])
@@ -314,6 +335,9 @@ func gklPrepSum(x, q, p1, p2 []float64) float64 {
 		s += (x[2]*math.Log(x[2]) - x[2]) - p1[2] - p2[2]*(x[2]-q[2])
 		s += (x[3]*math.Log(x[3]) - x[3]) - p1[3] - p2[3]*(x[3]-q[3])
 		x, q, p1, p2 = x[4:], q[4:], p1[4:], p2[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1) && i < len(p2); i++ {
 		s += (x[i]*math.Log(x[i]) - x[i]) - p1[i] - p2[i]*(x[i]-q[i])
@@ -374,7 +398,7 @@ func shannonPrep(p1, p2, q []float64) {
 	}
 }
 
-func shannonPrepSum(x, q, p1, p2 []float64) float64 {
+func shannonPrepSum(x, q, p1, p2 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 && len(p2) >= 4 {
 		s += x[0]*math.Log(x[0]) - p1[0] - p2[0]*(x[0]-q[0])
@@ -382,6 +406,9 @@ func shannonPrepSum(x, q, p1, p2 []float64) float64 {
 		s += x[2]*math.Log(x[2]) - p1[2] - p2[2]*(x[2]-q[2])
 		s += x[3]*math.Log(x[3]) - p1[3] - p2[3]*(x[3]-q[3])
 		x, q, p1, p2 = x[4:], q[4:], p1[4:], p2[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1) && i < len(p2); i++ {
 		s += x[i]*math.Log(x[i]) - p1[i] - p2[i]*(x[i]-q[i])
@@ -436,7 +463,7 @@ func burgPrep(p1, p2, q []float64) {
 	}
 }
 
-func burgPrepSum(x, q, p1, p2 []float64) float64 {
+func burgPrepSum(x, q, p1, p2 []float64, bound float64) float64 {
 	var s float64
 	for len(x) >= 4 && len(q) >= 4 && len(p1) >= 4 && len(p2) >= 4 {
 		s += (-math.Log(x[0]) + x[0] - 1) - p1[0] - p2[0]*(x[0]-q[0])
@@ -444,6 +471,9 @@ func burgPrepSum(x, q, p1, p2 []float64) float64 {
 		s += (-math.Log(x[2]) + x[2] - 1) - p1[2] - p2[2]*(x[2]-q[2])
 		s += (-math.Log(x[3]) + x[3] - 1) - p1[3] - p2[3]*(x[3]-q[3])
 		x, q, p1, p2 = x[4:], q[4:], p1[4:], p2[4:]
+		if s > bound {
+			return s
+		}
 	}
 	for i := 0; i < len(x) && i < len(q) && i < len(p1) && i < len(p2); i++ {
 		s += (-math.Log(x[i]) + x[i] - 1) - p1[i] - p2[i]*(x[i]-q[i])
@@ -467,6 +497,18 @@ func burgGeo(gq, gmu, q, mu []float64, theta float64) (dQ, dMu float64, ok bool)
 		dMu += phiX - (-math.Log(mv) + mv - 1) - gmu[i]*(xt-mv)
 	}
 	return dQ, dMu, true
+}
+
+// prepSlack sums the operand magnitudes of the per-coordinate expression
+// φ(x)−p1−p2·(x−q) at x = q, the scale of its worst-case rounding error (see
+// abandonBound). The |q|+1 part covers generators whose own evaluation
+// cancels operands of that size (Burg's −log t + t − 1 at t = 1).
+func prepSlack(p1, p2, q []float64) float64 {
+	var m float64
+	for i := 0; i < len(p1) && i < len(p2) && i < len(q); i++ {
+		m += math.Abs(p1[i]) + math.Abs(p2[i]*q[i]) + math.Abs(q[i]) + 1
+	}
+	return m * abandonSlackEps
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +604,7 @@ func l2Block(data, q, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		out[i] = l2Sum(row, q)
+		out[i] = l2Sum(row, q, math.Inf(1))
 	}
 }
 
@@ -573,7 +615,7 @@ func mahaBlock(w float64, data, q, p1, p2, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := mahaPrepSum(w, row, q, p1, p2)
+		s := mahaPrepSum(w, row, q, p1, p2, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}
@@ -588,7 +630,7 @@ func isBlock(data, q, p1, p2, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := isPrepSum(row, q, p1, p2)
+		s := isPrepSum(row, q, p1, p2, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}
@@ -603,7 +645,7 @@ func expBlock(data, q, p1, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := expPrepSum(row, q, p1)
+		s := expPrepSum(row, q, p1, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}
@@ -618,7 +660,7 @@ func gklBlock(data, q, p1, p2, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := gklPrepSum(row, q, p1, p2)
+		s := gklPrepSum(row, q, p1, p2, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}
@@ -633,7 +675,7 @@ func shannonBlock(data, q, p1, p2, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := shannonPrepSum(row, q, p1, p2)
+		s := shannonPrepSum(row, q, p1, p2, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}
@@ -648,7 +690,7 @@ func burgBlock(data, q, p1, p2, out []float64) {
 		}
 		row := data[:len(q):len(q)]
 		data = data[len(q):]
-		s := burgPrepSum(row, q, p1, p2)
+		s := burgPrepSum(row, q, p1, p2, math.Inf(1))
 		if s < 0 {
 			s = 0
 		}

@@ -119,8 +119,8 @@ type Bounds struct {
 // point from precomputed tuples, select the k-th smallest in O(n log k),
 // and return its per-subspace components as the searching radii.
 //
-// tuples[i] holds the per-subspace tuples of point i. scratch, when
-// non-nil with capacity ≥ number of subspaces, avoids an allocation.
+// tuples[i] holds the per-subspace tuples of point i. QBDetermine
+// allocates its selector and radii; QBDetermineInto takes pooled ones.
 func QBDetermine(tuples [][]PointTuple, q []QueryTriple, k int) Bounds {
 	n := len(tuples)
 	if n == 0 {
