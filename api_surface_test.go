@@ -22,7 +22,11 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func([]float64, int) (brepartition.Result, error) = idx.Search
 	var _ func([]topk.Item, []float64, int) (brepartition.Result, error) = idx.SearchAppend
 	var _ func([]float64, int, float64) (brepartition.Result, error) = idx.SearchApprox
-	var _ func([]float64, int, int) (brepartition.Result, error) = idx.SearchParallel
+	// ISSUE 23 removed SearchParallel from all three index kinds (and
+	// EngineOptions.SubWorkers with it): the per-subspace fan-out never beat
+	// the sequential filter. Query is the one method behind every named
+	// search, and what makes an index kind a Backend.
+	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = idx.Query
 	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = idx.RangeSearch
 	var _ func([][]float64, int, int) ([]brepartition.Result, error) = idx.BatchSearch
 	var _ func([]float64) (int, error) = idx.Insert
@@ -36,6 +40,7 @@ func TestPublicAPISurface(t *testing.T) {
 
 	var sx *brepartition.ShardedIndex
 	var _ func([]float64, int) (brepartition.Result, error) = sx.Search
+	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = sx.Query
 	var _ func([]float64, int, float64) (brepartition.Result, error) = sx.SearchApprox
 	var _ func([][]float64, int) ([]brepartition.Result, error) = sx.BatchSearch
 	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = sx.RangeSearch
@@ -50,6 +55,7 @@ func TestPublicAPISurface(t *testing.T) {
 
 	var dx *brepartition.DurableIndex
 	var _ func([]float64, int) (brepartition.Result, error) = dx.Search
+	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = dx.Query
 	var _ func([]float64, int, float64) (brepartition.Result, error) = dx.SearchApprox
 	var _ func([][]float64, int) ([]brepartition.Result, error) = dx.BatchSearch
 	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = dx.RangeSearch
@@ -66,7 +72,17 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func() (brepartition.ColdTierStats, bool) = dx.ColdStats
 	var _ func() error = dx.DetachColdTier
 
-	// All three index kinds are Engine backends.
+	// All three index kinds are Engine backends, and a Backend is exactly
+	// the one query method plus the mutation counter.
+	var _ interface {
+		Query([]topk.Item, *brepartition.Query) (brepartition.Result, error)
+		Version() uint64
+	} = brepartition.Backend(nil)
+	var _ brepartition.Backend = interface {
+		Query([]topk.Item, *brepartition.Query) (brepartition.Result, error)
+		Version() uint64
+	}(nil)
+	var _ brepartition.EngineOptions = struct{ Workers, CacheSize int }{}
 	var _ brepartition.Backend = idx
 	var _ brepartition.Backend = sx
 	var _ brepartition.Backend = dx

@@ -346,7 +346,7 @@ func BenchmarkDurableInsertAsync(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing overhead: the serving engine's traced submission path with
+// Tracing overhead: the serving engine's one submission path with
 // tracing off (nil trace — every untraced request's steady state) and on
 // (a pooled trace recording queue/run/scan spans and work counters per
 // query). The "off" ns/op must track the untraced submission cost — the
@@ -379,7 +379,7 @@ func BenchmarkTracedSearch(b *testing.B) {
 		eng, queries := benchTracedEngine(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SubmitTraced(nil, queries[i%len(queries)], 20).Wait(); err != nil {
+			if _, err := eng.SubmitQuery(core.Query{Vec: queries[i%len(queries)], K: 20}).Wait(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,7 +389,7 @@ func BenchmarkTracedSearch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr := obs.NewTrace(obs.NextID())
-			if _, err := eng.SubmitTraced(tr, queries[i%len(queries)], 20).Wait(); err != nil {
+			if _, err := eng.SubmitQuery(core.Query{Vec: queries[i%len(queries)], K: 20, Trace: tr}).Wait(); err != nil {
 				b.Fatal(err)
 			}
 			tr.Release()

@@ -80,6 +80,14 @@ type Index struct {
 // reads, candidate count, filter/refine timing).
 type Result = core.Result
 
+// Query is one search request: the value behind every named search method
+// and the one method, Query, that makes an index kind an Engine Backend.
+// The legal shapes are exact kNN {Vec, K}, approximate {Vec, K, Approx, P},
+// filtered {Vec, K, Keep} and range {Vec, Range, Radius}, each optionally
+// with Cold (prefer the attached cold tier; honoured for exact unfiltered
+// kNN); anything else fails validation with a typed error.
+type Query = core.Query
+
 // SearchStats is the per-query work breakdown.
 type SearchStats = core.SearchStats
 
@@ -104,6 +112,10 @@ func Build(div Divergence, points [][]float64, opts *Options) (*Index, error) {
 	}
 	return &Index{inner: inner}, nil
 }
+
+// Query answers q, appending the result items to dst; every named search
+// method below is shorthand for one Query shape.
+func (ix *Index) Query(dst []topk.Item, q *Query) (Result, error) { return ix.inner.Query(dst, q) }
 
 // Search returns the exact k nearest neighbours of q under D_f(x, q).
 func (ix *Index) Search(q []float64, k int) (Result, error) {
@@ -150,22 +162,16 @@ func (ix *Index) BuildTime() time.Duration { return ix.inner.BuildTime }
 // RangeSearch returns every point with D_f(x, q) ≤ r, exactly, sorted
 // ascending by distance, together with the query's work statistics.
 func (ix *Index) RangeSearch(q []float64, r float64) ([]Neighbor, SearchStats, error) {
-	items, stats, err := ix.inner.RangeSearch(q, r)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]Neighbor, len(items))
-	for i, it := range items {
-		out[i] = Neighbor{ID: it.ID, Distance: it.Score}
-	}
-	return out, stats, nil
+	return rangeSearch(ix.inner, q, r)
 }
 
-// SearchParallel is Search with the per-subspace range queries fanned out
-// across workers goroutines (0 picks a sensible default). Results are
-// identical to Search.
-func (ix *Index) SearchParallel(q []float64, k, workers int) (Result, error) {
-	return ix.inner.SearchParallel(q, k, workers)
+// rangeSearch is the range Query behind every index kind's RangeSearch.
+func rangeSearch(b Backend, q []float64, r float64) ([]Neighbor, SearchStats, error) {
+	res, err := b.Query(nil, &Query{Vec: q, Range: true, Radius: r})
+	if err != nil {
+		return nil, res.Stats, err
+	}
+	return Neighbors(res), res.Stats, nil
 }
 
 // Insert adds a point to the index (the paper's §10 future-work item) and
@@ -285,10 +291,10 @@ func (sx *ShardedIndex) Search(q []float64, k int) (Result, error) {
 	return sx.inner.Search(q, k)
 }
 
-// SearchParallel is Search (the scatter across shards is already the
-// parallel axis); it exists so an Engine can drive either backend.
-func (sx *ShardedIndex) SearchParallel(q []float64, k, workers int) (Result, error) {
-	return sx.inner.SearchParallel(q, k, workers)
+// Query answers q scatter-gathered across all shards, appending the
+// result items to dst.
+func (sx *ShardedIndex) Query(dst []topk.Item, q *Query) (Result, error) {
+	return sx.inner.Query(dst, q)
 }
 
 // SearchApprox returns k neighbours that are the exact kNN with
@@ -296,28 +302,20 @@ func (sx *ShardedIndex) SearchParallel(q []float64, k, workers int) (Result, err
 // with guarantee p^(1/shards), so the independent per-shard guarantees
 // compose back to ≥ p. p = 1 is exact search, bit-identical to Search.
 func (sx *ShardedIndex) SearchApprox(q []float64, k int, p float64) (Result, error) {
-	return sx.inner.SearchApprox(q, k, p)
+	return sx.inner.Query(nil, &Query{Vec: q, K: k, Approx: true, P: p})
 }
 
 // BatchSearch answers all queries, scatter-gathering each across every
 // shard concurrently. Results arrive in query order and match a
 // sequential Search loop.
 func (sx *ShardedIndex) BatchSearch(queries [][]float64, k int) ([]Result, error) {
-	return sx.inner.BatchSearch(queries, k)
+	return batchSearch(sx.inner, queries, k, len(queries))
 }
 
 // RangeSearch returns every point with D_f(x, q) ≤ r across all shards,
 // ascending by (distance, id).
 func (sx *ShardedIndex) RangeSearch(q []float64, r float64) ([]Neighbor, SearchStats, error) {
-	items, stats, err := sx.inner.RangeSearch(q, r)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]Neighbor, len(items))
-	for i, it := range items {
-		out[i] = Neighbor{ID: it.ID, Distance: it.Score}
-	}
-	return out, stats, nil
+	return rangeSearch(sx.inner, q, r)
 }
 
 // Insert adds a point, assigns it the next global id, and routes it to
@@ -367,7 +365,7 @@ func (sx *ShardedIndex) AttachColdTier(dir string, o ColdTierOptions) error {
 // are bit-identical to Search; shards whose tier is missing or stale
 // serve their part of the query hot.
 func (sx *ShardedIndex) SearchCold(q []float64, k int) (Result, error) {
-	return sx.inner.SearchCold(q, k)
+	return sx.inner.Query(nil, &Query{Vec: q, K: k, Cold: true})
 }
 
 // ColdStats sums the per-shard cold-tier counters; ok is false when no
@@ -441,35 +439,27 @@ func OpenDurable(root string, opts *DurableOptions) (*DurableIndex, error) {
 // Search returns the exact k nearest neighbours of q across all shards.
 func (dx *DurableIndex) Search(q []float64, k int) (Result, error) { return dx.inner.Search(q, k) }
 
-// SearchParallel is Search (the shard scatter is already the parallel
-// axis); it exists so an Engine can drive a durable backend.
-func (dx *DurableIndex) SearchParallel(q []float64, k, workers int) (Result, error) {
-	return dx.inner.SearchParallel(q, k, workers)
+// Query answers q scatter-gathered across all shards, appending the
+// result items to dst.
+func (dx *DurableIndex) Query(dst []topk.Item, q *Query) (Result, error) {
+	return dx.inner.Query(dst, q)
 }
 
 // SearchApprox returns k neighbours that are the exact kNN with
 // probability at least p (per-shard guarantees compose; see
 // ShardedIndex.SearchApprox).
 func (dx *DurableIndex) SearchApprox(q []float64, k int, p float64) (Result, error) {
-	return dx.inner.SearchApprox(q, k, p)
+	return dx.inner.Query(nil, &Query{Vec: q, K: k, Approx: true, P: p})
 }
 
 // BatchSearch answers all queries in query order.
 func (dx *DurableIndex) BatchSearch(queries [][]float64, k int) ([]Result, error) {
-	return dx.inner.BatchSearch(queries, k)
+	return batchSearch(dx.inner, queries, k, len(queries))
 }
 
 // RangeSearch returns every point with D_f(x, q) ≤ r across all shards.
 func (dx *DurableIndex) RangeSearch(q []float64, r float64) ([]Neighbor, SearchStats, error) {
-	items, stats, err := dx.inner.RangeSearch(q, r)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]Neighbor, len(items))
-	for i, it := range items {
-		out[i] = Neighbor{ID: it.ID, Distance: it.Score}
-	}
-	return out, stats, nil
+	return rangeSearch(dx.inner, q, r)
 }
 
 // Insert logs the point to the WAL, applies it to the owning shard, and
@@ -539,7 +529,7 @@ func (dx *DurableIndex) AttachColdTier(o ColdTierOptions) error {
 // are bit-identical to Search; shards whose tier is missing or stale
 // (mutated since AttachColdTier) serve their part of the query hot.
 func (dx *DurableIndex) SearchCold(q []float64, k int) (Result, error) {
-	return dx.inner.SearchCold(q, k)
+	return dx.inner.Query(nil, &Query{Vec: q, K: k, Cold: true})
 }
 
 // ColdStats sums the per-shard cold-tier counters; ok is false when no
@@ -554,10 +544,8 @@ func (dx *DurableIndex) DetachColdTier() error { return dx.inner.CloseColdTier()
 // ---------------------------------------------------------------------------
 
 // EngineOptions tunes a query engine: Workers bounds concurrently executing
-// queries (0 = GOMAXPROCS), SubWorkers optionally fans each query's
-// per-subspace range queries out as well (0 or 1 = sequential filter), and
-// CacheSize sets the shared LRU result cache capacity in entries (0 = 1024,
-// negative disables caching).
+// queries (0 = GOMAXPROCS) and CacheSize sets the shared LRU result cache
+// capacity in entries (0 = 1024, negative disables caching).
 type EngineOptions = engine.Config
 
 // EngineStats is the aggregate service view of an engine: completed query
@@ -568,10 +556,10 @@ type EngineStats = engine.Stats
 // Future is a handle to one in-flight query submitted to an Engine.
 type Future = engine.Future
 
-// Backend is any index an Engine can schedule over. Both *Index and
-// *ShardedIndex implement it; custom backends only need the three methods
-// to be safe for concurrent use, with Version changing on every mutation
-// (the result-cache invalidation invariant).
+// Backend is any index an Engine can schedule over: Query plus Version.
+// *Index, *ShardedIndex and *DurableIndex implement it; custom backends
+// only need the two methods to be safe for concurrent use, with Version
+// changing on every mutation (the result-cache invalidation invariant).
 type Backend = engine.Backend
 
 // Engine is a concurrent batch query layer over one backend — a single
@@ -590,7 +578,7 @@ type Engine struct {
 
 // NewEngine creates a query engine over any backend — an *Index, a
 // *ShardedIndex, or a custom Backend. opts may be nil for defaults
-// (GOMAXPROCS workers, sequential per-query filter, 1024-entry cache).
+// (GOMAXPROCS workers, 1024-entry cache).
 func NewEngine(b Backend, opts *EngineOptions) *Engine {
 	var o EngineOptions
 	if opts != nil {
@@ -624,12 +612,14 @@ func (e *Engine) Delete(id int) (bool, error) { return e.inner.Delete(id) }
 // p ∈ (0,1]) and returns its Future; approx results bypass the result
 // cache.
 func (e *Engine) SubmitApprox(q []float64, k int, p float64) *Future {
-	return e.inner.SubmitApprox(q, k, p)
+	return e.inner.SubmitQuery(Query{Vec: q, K: k, Approx: true, P: p})
 }
 
 // SubmitRange enqueues one range query: the Future resolves to every
 // point with D_f(x, q) ≤ r, ascending.
-func (e *Engine) SubmitRange(q []float64, r float64) *Future { return e.inner.SubmitRange(q, r) }
+func (e *Engine) SubmitRange(q []float64, r float64) *Future {
+	return e.inner.SubmitQuery(Query{Vec: q, Range: true, Radius: r})
+}
 
 // Stats snapshots the engine's aggregate statistics.
 func (e *Engine) Stats() EngineStats { return e.inner.Stats() }
@@ -654,8 +644,15 @@ func (e *Engine) Close() error { return e.inner.Close() }
 // no result cache. For sustained traffic keep a NewEngine instead, so the
 // cache and statistics persist across batches.
 func (ix *Index) BatchSearch(queries [][]float64, k, workers int) ([]Result, error) {
-	eng := engine.New(ix.inner, engine.Config{Workers: workers, CacheSize: -1})
-	return eng.BatchSearch(queries, k)
+	return batchSearch(ix.inner, queries, k, workers)
+}
+
+// batchSearch is the one-shot batch behind every index kind's BatchSearch:
+// a cacheless engine submits every query, then gathers them in order. The
+// sharded kinds ask for one worker per query: their per-shard worker pools
+// bound the work, and the outer engine only has to keep all of them fed.
+func batchSearch(b Backend, queries [][]float64, k, workers int) ([]Result, error) {
+	return engine.New(b, engine.Config{Workers: workers, CacheSize: -1}).BatchSearch(queries, k)
 }
 
 // BruteForce computes the exact kNN by linear scan — the ground truth used

@@ -37,24 +37,6 @@ func TestPublicAPIRangeSearch(t *testing.T) {
 	}
 }
 
-func TestPublicAPISearchParallel(t *testing.T) {
-	idx, ds := buildAPIIndex(t)
-	q := ds.Points[4]
-	seq, err := idx.Search(q, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := idx.SearchParallel(q, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Items {
-		if seq.Items[i].ID != par.Items[i].ID {
-			t.Fatalf("parallel result differs at %d", i)
-		}
-	}
-}
-
 func TestPublicAPIPersistence(t *testing.T) {
 	idx, ds := buildAPIIndex(t)
 	path := filepath.Join(t.TempDir(), "index.bpi")

@@ -2,6 +2,7 @@ package brepartition_test
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -69,6 +70,62 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 			if got := brepartition.Neighbors(res); !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("workers=%d query %d: batch answer diverges from sequential Search\ngot  %v\nwant %v",
 					workers, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestEngineSubmitRangeAndApprox pins the public Engine's non-exact
+// submissions on every public index kind: before ISSUE 23 the engine
+// sniffed its backend for RangeSearch/SearchApprox methods whose
+// signatures the public wrappers never had, so SubmitRange failed with
+// "backend does not support range queries" on all three.
+func TestEngineSubmitRangeAndApprox(t *testing.T) {
+	points := apiTestPoints()
+	idx, queries := apiTestIndex(t)
+	sx, err := brepartition.BuildSharded(brepartition.ItakuraSaito(), points, 3, &brepartition.Options{M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := brepartition.BuildDurable(brepartition.ItakuraSaito(), points, filepath.Join(t.TempDir(), "durable"),
+		&brepartition.DurableOptions{Shards: 3, Core: brepartition.Options{M: 4}, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dx.Close()
+
+	type index interface {
+		brepartition.Backend
+		Search(q []float64, k int) (brepartition.Result, error)
+		RangeSearch(q []float64, r float64) ([]brepartition.Neighbor, brepartition.SearchStats, error)
+	}
+	const k = 6
+	for name, ix := range map[string]index{"Index": idx, "ShardedIndex": sx, "DurableIndex": dx} {
+		eng := brepartition.NewEngine(ix, nil)
+		for _, q := range queries[:4] {
+			exact, err := ix.Search(q, 2*k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := exact.Items[len(exact.Items)-1].Score
+			want, _, err := ix.RangeSearch(q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.SubmitRange(q, r).Wait()
+			if err != nil {
+				t.Fatalf("%s: SubmitRange: %v", name, err)
+			}
+			if len(want) < 2*k || !reflect.DeepEqual(brepartition.Neighbors(got), want) {
+				t.Fatalf("%s: SubmitRange != RangeSearch\ngot  %v\nwant %v", name, brepartition.Neighbors(got), want)
+			}
+
+			approx, err := eng.SubmitApprox(q, k, 1).Wait()
+			if err != nil {
+				t.Fatalf("%s: SubmitApprox: %v", name, err)
+			}
+			if !reflect.DeepEqual(approx.Items, exact.Items[:k]) {
+				t.Fatalf("%s: SubmitApprox(p=1) != Search\ngot  %v\nwant %v", name, approx.Items, exact.Items[:k])
 			}
 		}
 	}

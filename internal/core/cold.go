@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"brepartition/internal/bregman"
 	"brepartition/internal/coldtier"
 	"brepartition/internal/topk"
 )
@@ -120,39 +119,36 @@ func (ix *Index) CloseColdTier() error {
 // it was built) the query is served by the hot path instead — still
 // exact, counted in ColdFallbacks.
 func (ix *Index) SearchCold(q []float64, k int) (Result, error) {
-	return ix.SearchColdAppend(nil, q, k)
+	return ix.Query(nil, &Query{Vec: q, K: k, Cold: true})
 }
 
 // SearchColdAppend is SearchCold appending the result items to dst.
 func (ix *Index) SearchColdAppend(dst []topk.Item, q []float64, k int) (Result, error) {
+	return ix.Query(dst, &Query{Vec: q, K: k, Cold: true})
+}
+
+// searchCold answers a validated cold-eligible query from the attached
+// tier. served is false (with a nil error) when the tier is stale or was
+// closed under the query: the caller then answers hot, and the fallback
+// is counted.
+func (ix *Index) searchCold(dst []topk.Item, q *Query) (res Result, served bool, err error) {
 	tier := ix.cold.Load()
 	if tier == nil {
-		return Result{}, ErrNoColdTier
-	}
-	// Mirror the hot path's validation so cold and hot surface the same
-	// sentinel errors.
-	if k <= 0 {
-		return Result{}, ErrK
-	}
-	if len(q) != ix.dim() {
-		return Result{}, fmt.Errorf("%w: got %d, want %d", ErrDim, len(q), ix.dim())
-	}
-	if err := bregman.CheckDomain(ix.Div, q); err != nil {
-		return Result{}, err
+		return Result{}, false, ErrNoColdTier
 	}
 	if tier.BuiltVersion() != ix.Version() {
 		ix.coldFallbacks.Add(1)
-		return ix.SearchAppend(dst, q, k)
+		return Result{}, false, nil
 	}
 	start := time.Now()
-	items, st, err := tier.SearchAppend(dst, q, k)
+	items, st, err := tier.SearchAppend(dst, q.Vec, q.K)
 	if errors.Is(err, coldtier.ErrClosed) {
 		// Lost a race with CloseColdTier/a tier swap: serve hot, exactly.
 		ix.coldFallbacks.Add(1)
-		return ix.SearchAppend(dst, q, k)
+		return Result{}, false, nil
 	}
 	if err != nil {
-		return Result{}, err
+		return Result{}, false, err
 	}
 	return Result{
 		Items: items,
@@ -167,5 +163,5 @@ func (ix *Index) SearchColdAppend(dst []topk.Item, q []float64, k int) (Result, 
 			ColdCacheHits:  st.CacheHits,
 			ColdTime:       time.Since(start),
 		},
-	}, nil
+	}, true, nil
 }

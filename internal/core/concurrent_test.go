@@ -33,8 +33,8 @@ func TestConcurrentSearchInsertDelete(t *testing.T) {
 					t.Errorf("Search: %v", err)
 					return
 				}
-				if _, err := ix.SearchParallel(q, 5, 2); err != nil {
-					t.Errorf("SearchParallel: %v", err)
+				if _, err := ix.Query(nil, &Query{Vec: q, K: 5, Keep: func(id int) bool { return id%2 == 0 }}); err != nil {
+					t.Errorf("filtered Query: %v", err)
 					return
 				}
 				if _, _, err := ix.RangeSearch(q, 1.0); err != nil {

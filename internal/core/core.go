@@ -99,9 +99,10 @@ func (o Options) withDefaults() Options {
 // Index is a built BrePartition index.
 //
 // Thread safety: all exported methods are safe for concurrent use. Reads
-// (Search, SearchApprox, SearchParallel, RangeSearch, Bounds, accessors)
-// hold a shared lock; mutations (Insert, Delete) hold an exclusive lock,
-// so a search never observes a torn index — it sees the index either
+// (Query and its named shorthands, Bounds, accessors) hold a shared lock —
+// a cold-tier query reads only the immutable tier and takes it just to
+// compare versions; mutations (Insert, Delete) hold an exclusive lock, so
+// a search never observes a torn index — it sees the index either
 // entirely before or entirely after each mutation. The exported fields are
 // owned by the index after Build; external code must not mutate them while
 // other goroutines use the index.
@@ -231,12 +232,8 @@ type Result struct {
 	Stats SearchStats
 }
 
-// Errors.
-var (
-	ErrEmpty = errors.New("core: empty dataset")
-	ErrDim   = errors.New("core: query dimensionality mismatch")
-	ErrK     = errors.New("core: k must be positive")
-)
+// ErrEmpty reports a build over zero points.
+var ErrEmpty = errors.New("core: empty dataset")
 
 // Build runs Algorithm 5. Construction parallelizes across
 // opts.BuildWorkers goroutines but is fully deterministic: every worker
@@ -407,9 +404,6 @@ func (ix *Index) N() int {
 // lock-free).
 func (ix *Index) Dim() int { return ix.d }
 
-// dim is the internal alias used on paths that already hold ix.mu.
-func (ix *Index) dim() int { return ix.d }
-
 // TailLen returns the number of points appended by Insert since the last
 // build: rows living outside the slot-major arena, where refinement falls
 // off the zero-copy block path. A rebuild (Build over the live points)
@@ -465,72 +459,36 @@ func (ix *Index) Version() uint64 {
 
 // Search runs Algorithm 6 and returns the exact kNN of q.
 func (ix *Index) Search(q []float64, k int) (Result, error) {
-	return ix.SearchAppend(nil, q, k)
+	return ix.Query(nil, &Query{Vec: q, K: k})
 }
 
-// SearchAppend is Search appending the result items to dst: with a reused
-// dst of sufficient capacity, a warm index answers the query without
-// allocating a single byte (the pooled context supplies every scratch
-// buffer). Result.Items is the extended dst.
+// SearchAppend is Search appending the result items to dst (see Query for
+// the zero-allocation contract).
 func (ix *Index) SearchAppend(dst []topk.Item, q []float64, k int) (Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ctx := ix.getCtx()
-	res, err := ix.search(ctx, dst, q, k, 0, nil)
-	ix.putCtx(ctx)
-	return res, err
-}
-
-// SearchFilter returns the exact k nearest neighbours of q among the
-// points keep admits. The predicate is pushed into both phases of
-// Algorithm 6 — the k-th-smallest bound is selected over matching points
-// only (an unfiltered bound could prune matches away) and leaf emission
-// drops non-matching ids before they are prefetched or refined — so the
-// answer is pre-filtered exact top-k, identical to brute force over the
-// admitted subset, never a post-filtered approximation. keep must be safe
-// for concurrent use and cheap: it runs once per indexed point per query.
-func (ix *Index) SearchFilter(q []float64, k int, keep func(id int) bool) (Result, error) {
-	if keep == nil {
-		return ix.Search(q, k)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ctx := ix.getCtx()
-	res, err := ix.search(ctx, nil, q, k, 0, keep)
-	ix.putCtx(ctx)
-	return res, err
+	return ix.Query(dst, &Query{Vec: q, K: k})
 }
 
 // SearchApprox runs the §8 extension: exact radii are tightened by the
 // Proposition-1 coefficient for probability guarantee p ∈ (0,1]; p = 1
 // degenerates to exact search.
 func (ix *Index) SearchApprox(q []float64, k int, p float64) (Result, error) {
-	if !(p > 0 && p <= 1) {
-		return Result{}, approx.ErrGuarantee
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ctx := ix.getCtx()
-	res, err := ix.search(ctx, nil, q, k, p, nil)
-	ix.putCtx(ctx)
-	return res, err
+	return ix.Query(nil, &Query{Vec: q, K: k, Approx: true, P: p})
 }
 
-// search runs Algorithm 6 with pooled per-query state; the caller must
-// hold ix.mu (read side) and hand the context back to the pool afterwards.
-// Result items are appended to dst. A non-nil keep restricts both the
-// bound selection and the candidate union to admitted ids (tombstoned ids
-// are excluded on top of it); p and keep are mutually exclusive — the
-// filtered path is always exact.
-func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int, p float64, keep func(id int) bool) (Result, error) {
-	if k <= 0 {
-		return Result{}, ErrK
-	}
-	if len(q) != ix.dim() {
-		return Result{}, fmt.Errorf("%w: got %d, want %d", ErrDim, len(q), ix.dim())
-	}
-	if err := bregman.CheckDomain(ix.Div, q); err != nil {
-		return Result{}, err
+// search runs Algorithm 6 for a validated kNN query with pooled per-query
+// state; the caller must hold ix.mu (read side) and hand the context back
+// to the pool afterwards. Result items are appended to dst. A non-nil
+// q.Keep is pushed into both phases — the k-th-smallest bound is selected
+// over matching points only (an unfiltered bound could prune matches away)
+// and leaf emission drops non-matching ids before they are prefetched or
+// refined — so the answer is the pre-filtered exact top-k, identical to
+// brute force over the admitted subset, never a post-filtered
+// approximation. Tombstoned ids are excluded on top of it.
+func (ix *Index) search(ctx *searchContext, dst []topk.Item, query *Query) (Result, error) {
+	q, k, keep := query.Vec, query.K, query.Keep
+	p := 0.0 // exact
+	if query.Approx {
+		p = query.P
 	}
 
 	filterStart := time.Now()
@@ -623,7 +581,7 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 func (ix *Index) Bounds(q []float64, k int) (transform.Bounds, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(q) != ix.dim() {
+	if len(q) != ix.d {
 		return transform.Bounds{}, ErrDim
 	}
 	triples := transform.QTransform(ix.Div, q, ix.Parts)

@@ -8,6 +8,11 @@ import (
 	"brepartition/internal/scan"
 )
 
+// searchFilter is the filtered Query shape the tests below exercise.
+func searchFilter(ix *Index, q []float64, k int, keep func(id int) bool) (Result, error) {
+	return ix.Query(nil, &Query{Vec: q, K: k, Keep: keep})
+}
+
 // TestSearchFilterOracle pins filtered search bit-identical to brute force
 // restricted to the same predicate, across divergences, selectivities, and
 // k values — including k larger than the match count.
@@ -36,7 +41,7 @@ func TestSearchFilterOracle(t *testing.T) {
 					for j := range q {
 						q[j] = 0.1 + rng.Float64()
 					}
-					got, err := ix.SearchFilter(q, k, keep)
+					got, err := searchFilter(ix, q, k, keep)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -56,7 +61,7 @@ func TestSearchFilterOracle(t *testing.T) {
 			for j := range q {
 				q[j] = 0.5
 			}
-			res, err := ix.SearchFilter(q, 3, func(int) bool { return false })
+			res, err := searchFilter(ix, q, 3, func(int) bool { return false })
 			if err != nil || len(res.Items) != 0 {
 				t.Fatalf("zero-match: items=%d err=%v", len(res.Items), err)
 			}
@@ -90,7 +95,7 @@ func TestSearchFilterDeleted(t *testing.T) {
 	for j := range q {
 		q[j] = 0.1 + rng.Float64()
 	}
-	got, err := ix.SearchFilter(q, 10, keep)
+	got, err := searchFilter(ix, q, 10, keep)
 	if err != nil {
 		t.Fatal(err)
 	}

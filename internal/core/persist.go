@@ -79,7 +79,7 @@ func (ix *Index) WriteFile(path string) (err error) {
 	putStr(ix.Div.Name())
 	putU32(uint32(ix.opts.Disk.PageSize))
 	putU32(uint32(len(ix.Points)))
-	putU32(uint32(ix.dim()))
+	putU32(uint32(ix.d))
 	putU32(uint32(ix.M()))
 	for _, dims := range ix.Parts {
 		putU32(uint32(len(dims)))

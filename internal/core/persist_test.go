@@ -114,49 +114,13 @@ func TestRangeSearchExact(t *testing.T) {
 			t.Fatal("no I/O charged")
 		}
 	}
-	if got, _, err := ix.RangeSearch(q, -1); err != nil || got != nil {
-		t.Fatal("negative radius should return empty")
+	// ISSUE 23: a negative radius is rejected by Query.Validate with a typed
+	// error at every layer (it used to answer empty here and 400 at the
+	// server).
+	if got, _, err := ix.RangeSearch(q, -1); !errors.Is(err, ErrRadius) || got != nil {
+		t.Fatalf("negative radius: got %v, err %v, want ErrRadius", got, err)
 	}
 	if _, _, err := ix.RangeSearch([]float64{1}, 1); err == nil {
 		t.Fatal("dim mismatch accepted")
-	}
-}
-
-func TestSearchParallelMatchesSequential(t *testing.T) {
-	ix, ds := buildSmall(t, "ed", 6)
-	for _, workers := range []int{0, 1, 3, 16} {
-		for _, q := range dataset.SampleQueries(ds, 4, 55) {
-			seq, err := ix.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := ix.SearchParallel(q, 10, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seq.Items) != len(par.Items) {
-				t.Fatalf("workers=%d: lengths differ", workers)
-			}
-			for i := range seq.Items {
-				if seq.Items[i].ID != par.Items[i].ID {
-					t.Fatalf("workers=%d pos %d: %d vs %d",
-						workers, i, seq.Items[i].ID, par.Items[i].ID)
-				}
-			}
-			if par.Stats.PageReads != seq.Stats.PageReads {
-				t.Fatalf("workers=%d: I/O differs %d vs %d",
-					workers, par.Stats.PageReads, seq.Stats.PageReads)
-			}
-		}
-	}
-}
-
-func TestSearchParallelErrors(t *testing.T) {
-	ix, _ := buildSmall(t, "ed", 4)
-	if _, err := ix.SearchParallel([]float64{1}, 5, 2); err == nil {
-		t.Fatal("dim mismatch accepted")
-	}
-	if _, err := ix.SearchParallel(make([]float64, ix.Dim()), 0, 2); err == nil {
-		t.Fatal("k=0 accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"brepartition/internal/bregman"
@@ -21,8 +20,8 @@ import (
 func (ix *Index) Insert(p []float64) (int, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(p) != ix.dim() {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrDim, len(p), ix.dim())
+	if len(p) != ix.d {
+		return 0, DimError(len(p), ix.d)
 	}
 	if err := bregman.CheckDomain(ix.Div, p); err != nil {
 		return 0, err

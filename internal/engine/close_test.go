@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"brepartition/internal/core"
+	"brepartition/internal/topk"
 )
 
 // slowBackend serves canned answers, blocking each search until release
@@ -18,16 +19,12 @@ type slowBackend struct {
 	calls   int
 }
 
-func (b *slowBackend) Search(q []float64, k int) (core.Result, error) {
+func (b *slowBackend) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 	<-b.release
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()
 	return core.Result{Stats: core.SearchStats{Candidates: 1}}, nil
-}
-
-func (b *slowBackend) SearchParallel(q []float64, k, workers int) (core.Result, error) {
-	return b.Search(q, k)
 }
 
 func (b *slowBackend) Version() uint64 { return 0 }

@@ -1,9 +1,9 @@
-// Package engine is the concurrent batch query layer on top of the core
-// BrePartition index: it composes query-level parallelism (a bounded pool
-// of worker goroutines, one in-flight query each) with the per-subspace
-// fan-out the core index already provides (SearchParallel), shares an LRU
-// result cache across in-flight queries, and aggregates service-level
-// statistics (QPS, latency percentiles, total page reads).
+// Package engine is the concurrent batch query layer on top of any index
+// layer with a Query method: a bounded pool of worker goroutines (one
+// in-flight query each) drains a FIFO of core.Query values, an LRU result
+// cache is shared across in-flight queries, a traced query has its queue
+// wait, run time and search stats folded into its trace, and service-level
+// statistics (QPS, latency percentiles, total page reads) are aggregated.
 //
 // The engine relies on the core index's locking discipline: searches take
 // the index's shared lock, mutations (Insert/Delete) its exclusive lock,
@@ -17,7 +17,8 @@
 // the index picked at build time (internal/kernel), so a saturated batch
 // performs no interface dispatch in its distance loops and no steady-state
 // allocation beyond each query's result slice — the engine's own overhead
-// is one job, one future, and the shared-cache bookkeeping per query.
+// is one future (which holds the query by value) and the shared-cache
+// bookkeeping per query.
 package engine
 
 import (
@@ -35,28 +36,15 @@ import (
 	"brepartition/internal/topk"
 )
 
-// Backend is the index surface the engine schedules over. Both the
-// single-process core index (*core.Index) and the sharded scatter-gather
-// index (*shard.Index) implement it; the engine is agnostic to which one
-// it drives, as long as the backend's methods are safe for concurrent use
-// and Version changes on every mutation (the result-cache invariant).
+// Backend is the index surface the engine schedules over: every layer's
+// one query method plus the mutation counter. The core index, the sharded
+// index, the durable wrapper and the reload handle all implement it; the
+// engine is agnostic to which one it drives, as long as the backend's
+// methods are safe for concurrent use and Version changes on every
+// mutation (the result-cache invariant).
 type Backend interface {
-	Search(q []float64, k int) (core.Result, error)
-	SearchParallel(q []float64, k, workers int) (core.Result, error)
+	Query(dst []topk.Item, q *core.Query) (core.Result, error)
 	Version() uint64
-}
-
-// rangeBackend is the optional range-query surface; SubmitRange requires
-// the backend to implement it (both core and shard indexes do).
-type rangeBackend interface {
-	RangeSearch(q []float64, r float64) ([]topk.Item, core.SearchStats, error)
-}
-
-// approxBackend is the optional probabilistic-guarantee surface;
-// SubmitApprox requires the backend to implement it (core, shard, and
-// durable indexes all do).
-type approxBackend interface {
-	SearchApprox(q []float64, k int, p float64) (core.Result, error)
 }
 
 // MutableBackend is the optional mutation surface. The engine routes
@@ -85,12 +73,6 @@ type Config struct {
 	// Workers bounds the number of concurrently executing queries
 	// (0 = GOMAXPROCS).
 	Workers int
-	// SubWorkers is the per-query subspace fan-out: 0 or 1 runs each
-	// query's filter sequentially (maximizing query-level parallelism,
-	// the right choice for saturated batch workloads); >1 additionally
-	// fans each query's M range queries out via SearchParallel (the right
-	// choice for low-QPS latency-sensitive traffic).
-	SubWorkers int
 	// CacheSize is the result-cache capacity in entries (0 = 1024,
 	// negative disables caching).
 	CacheSize int
@@ -116,7 +98,7 @@ type Engine struct {
 	cache *resultCache
 
 	qmu     sync.Mutex
-	queue   []job
+	queue   []*Future  // submitted, not yet picked up by a worker
 	running int        // worker goroutines alive, ≤ cfg.Workers
 	idle    *sync.Cond // broadcast when queue empties and running drops to 0
 	closed  bool       // Close called: new submissions fail with ErrClosed
@@ -138,15 +120,6 @@ type Engine struct {
 	latRNG  *rand.Rand
 }
 
-// job is one queued unit of work: run answers it (a kNN search consulting
-// the shared cache, or a range query), f receives the result. tr, when
-// non-nil, receives the queue-wait and run spans the worker measures.
-type job struct {
-	run func() (res core.Result, cached bool, err error)
-	f   *Future
-	tr  *obs.Trace
-}
-
 // maxLatSamples bounds the latency reservoir; with 16Ki samples the p99
 // estimate stays stable while memory stays constant under sustained load.
 const maxLatSamples = 1 << 14
@@ -166,8 +139,10 @@ func New(ix Backend, cfg Config) *Engine {
 // Workers returns the effective query-level concurrency bound.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// Future is a handle to one submitted query.
+// Future is a handle to one submitted query. It doubles as the queued
+// job: q is the query to run, held by value and cleared once it ran.
 type Future struct {
+	q    core.Query
 	done chan struct{}
 	res  core.Result
 	err  error
@@ -207,83 +182,20 @@ func (f *Future) WaitContext(ctx context.Context) (core.Result, error) {
 	}
 }
 
-// Submit enqueues one query and returns immediately. The query runs as
-// soon as a worker slot frees up.
-func (e *Engine) Submit(q []float64, k int) *Future {
-	return e.submit(func() (core.Result, bool, error) { return e.searchOne(q, k) })
-}
-
-// SubmitRange enqueues one range query: the Future resolves to a Result
-// whose Items are every point with D_f(x, q) ≤ r, ascending. Range results
-// bypass the result cache (it is keyed on k-kNN queries) and require the
-// backend to support RangeSearch.
-func (e *Engine) SubmitRange(q []float64, r float64) *Future {
-	rb, ok := e.ix.(rangeBackend)
-	return e.submit(func() (core.Result, bool, error) {
-		if !ok {
-			return core.Result{}, false, ErrNoRange
-		}
-		items, stats, err := rb.RangeSearch(q, r)
-		return core.Result{Items: items, Stats: stats}, false, err
-	})
-}
-
-// ErrNoRange reports a SubmitRange against a backend without RangeSearch.
-var ErrNoRange = errors.New("engine: backend does not support range queries")
-
-// ErrNoApprox reports a SubmitApprox against a backend without
-// SearchApprox.
-var ErrNoApprox = errors.New("engine: backend does not support approximate search")
-
 // ErrClosed reports a submission against a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
-// SubmitApprox enqueues one approximate query with probability guarantee
-// p ∈ (0,1]. Approx results bypass the result cache (it is keyed on exact
-// kNN queries) and require the backend to support SearchApprox.
-func (e *Engine) SubmitApprox(q []float64, k int, p float64) *Future {
-	ab, ok := e.ix.(approxBackend)
-	return e.submit(func() (core.Result, bool, error) {
-		if !ok {
-			return core.Result{}, false, ErrNoApprox
-		}
-		res, err := ab.SearchApprox(q, k, p)
-		return res, false, err
-	})
+// Submit enqueues one exact kNN query and returns immediately.
+func (e *Engine) Submit(q []float64, k int) *Future {
+	return e.SubmitQuery(core.Query{Vec: q, K: k})
 }
 
-// filterBackend is the optional filtered-search surface; SubmitFilter
-// requires the backend to implement it (core, shard, durable, and handle
-// all do).
-type filterBackend interface {
-	SearchFilter(q []float64, k int, keep func(id int) bool) (core.Result, error)
-}
-
-// ErrNoFilter reports a SubmitFilter against a backend without
-// SearchFilter.
-var ErrNoFilter = errors.New("engine: backend does not support filtered search")
-
-// SubmitFilter enqueues one filtered query: the exact kNN among the ids
-// keep admits. Filtered results bypass the result cache — the cache is
-// keyed on (version, k, q) and knows nothing about predicates, and two
-// queries with the same coordinates but different filters must never
-// alias.
-func (e *Engine) SubmitFilter(q []float64, k int, keep func(id int) bool) *Future {
-	fb, ok := e.ix.(filterBackend)
-	return e.submit(func() (core.Result, bool, error) {
-		if !ok {
-			return core.Result{}, false, ErrNoFilter
-		}
-		res, err := fb.SearchFilter(q, k, keep)
-		return res, false, err
-	})
-}
-
-func (e *Engine) submit(run func() (core.Result, bool, error)) *Future {
-	return e.submitTraced(nil, run)
-}
-
-func (e *Engine) submitTraced(tr *obs.Trace, run func() (core.Result, bool, error)) *Future {
+// SubmitQuery enqueues q — any shape the backend's Query accepts — and
+// returns immediately; the query runs as soon as a worker slot frees up.
+// A range query resolves to a Result whose Items are every point within
+// the radius, ascending. With q.Trace set the worker records the queue
+// wait, the run time and the result's search stats into it.
+func (e *Engine) SubmitQuery(q core.Query) *Future {
 	e.mu.Lock()
 	if e.started.IsZero() {
 		e.started = time.Now()
@@ -298,12 +210,13 @@ func (e *Engine) submitTraced(tr *obs.Trace, run func() (core.Result, bool, erro
 		close(f.done)
 		return f
 	}
-	// The job writes spans/counters into tr until the worker finishes —
+	// The worker writes spans/counters into the trace until it finishes —
 	// possibly after the submitter stopped waiting (deadline, abandoned
 	// coalesce slot) and dropped its own reference. Hold one for the
 	// job's lifetime; the worker releases it after its last write.
-	tr.Retain()
-	e.queue = append(e.queue, job{run: run, f: f, tr: tr})
+	q.Trace.Retain()
+	f.q = q
+	e.queue = append(e.queue, f)
 	if e.running < e.cfg.Workers {
 		e.running++
 		go e.worker()
@@ -367,24 +280,25 @@ func (e *Engine) worker() {
 			e.qmu.Unlock()
 			return
 		}
-		j := e.queue[0]
-		e.queue[0] = job{} // drop references for the GC
+		f := e.queue[0]
+		e.queue[0] = nil // drop the reference for the GC
 		e.queue = e.queue[1:]
 		e.qmu.Unlock()
 
 		start := time.Now()
-		j.f.queued = start.Sub(j.f.enq)
-		res, cached, err := j.run()
+		f.queued = start.Sub(f.enq)
+		res, cached, err := e.searchOne(&f.q)
 		dur := time.Since(start)
-		j.f.runDur = dur
-		if j.tr != nil {
-			j.tr.AddSpan(obs.StageQueue, j.f.queued)
-			j.tr.AddSpan(obs.StageRun, dur)
+		f.runDur = dur
+		if tr := f.q.Trace; tr != nil {
+			tr.AddSpan(obs.StageQueue, f.queued)
+			tr.AddSpan(obs.StageRun, dur)
+			tr.Release() // pairs with the Retain in SubmitQuery; last trace write was above
 		}
-		j.tr.Release() // pairs with the Retain in submitTraced; last trace write was above
-		j.f.res, j.f.err = res, err
+		f.q = core.Query{} // the future may outlive the query's vector, filter and trace
+		f.res, f.err = res, err
 		e.record(res, cached, err, dur)
-		close(j.f.done)
+		close(f.done)
 	}
 }
 
@@ -452,29 +366,59 @@ func (e *Engine) Delete(id int) (bool, error) {
 	return ok, err
 }
 
-// searchOne answers a single query, consulting the shared result cache;
-// cached reports whether the answer was served without searching.
-func (e *Engine) searchOne(q []float64, k int) (res core.Result, cached bool, err error) {
-	ver := e.ix.Version()
-	if e.cache != nil {
-		if res, ok := e.cache.get(ver, k, q); ok {
+// searchOne answers a single query. Exact unfiltered kNN consults the
+// shared result cache, which is keyed on (version, k, vector) and knows
+// nothing about predicates, guarantees or radii; cached reports whether
+// the answer was served without searching (its scan counters stay zero in
+// the trace — the work happened when the entry was populated). A searched
+// result's stats fold into the query's trace, once.
+func (e *Engine) searchOne(q *core.Query) (res core.Result, cached bool, err error) {
+	cacheable := e.cache != nil && q.ExactKNN()
+	var ver uint64
+	if cacheable {
+		ver = e.ix.Version()
+		if res, ok := e.cache.get(ver, q.K, q.Vec); ok {
+			q.Trace.MarkCached()
 			return res, true, nil
 		}
 	}
-	if e.cfg.SubWorkers > 1 {
-		res, err = e.ix.SearchParallel(q, k, e.cfg.SubWorkers)
-	} else {
-		res, err = e.ix.Search(q, k)
+	res, err = e.ix.Query(nil, q)
+	if err != nil {
+		return res, false, err
 	}
-	if err == nil && e.cache != nil && e.ix.Version() == ver {
+	foldStats(q.Trace, res.Stats)
+	if cacheable && e.ix.Version() == ver {
 		// The version did not move across the search, so the result is
 		// exactly the snapshot tagged ver; safe to share. (If a mutation
 		// raced the search, skip caching: the result is still correct for
 		// the snapshot the search locked, but that snapshot has no stable
 		// version to key on.)
-		e.cache.put(ver, k, q, res)
+		e.cache.put(ver, q.K, q.Vec, res)
 	}
-	return res, false, err
+	return res, false, nil
+}
+
+// foldStats lifts one result's search stats into the trace: the
+// filter/refine/cold wall-time split becomes sub-spans of Run, the
+// work counters accumulate.
+func foldStats(tr *obs.Trace, st core.SearchStats) {
+	if tr == nil {
+		return
+	}
+	tr.AddSpan(obs.StageScan, st.FilterTime)
+	tr.AddSpan(obs.StageRefine, st.RefineTime)
+	tr.AddSpan(obs.StageCold, st.ColdTime)
+	tr.Add(obs.Counters{
+		Nodes:         int64(st.NodesVisited),
+		Leaves:        int64(st.LeavesVisited),
+		Candidates:    int64(st.Candidates),
+		DistanceComps: int64(st.DistanceComps),
+		PageReads:     int64(st.PageReads),
+		ColdScanned:   int64(st.ColdScanned),
+		ColdPruned:    int64(st.ColdPruned),
+		ColdFaults:    int64(st.ColdPageFaults),
+		ColdHits:      int64(st.ColdCacheHits),
+	})
 }
 
 // record folds one finished query into the aggregate statistics. Cache

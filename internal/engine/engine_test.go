@@ -66,7 +66,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 8, SubWorkers: 2},
+		{Workers: 8},
 		{Workers: 4, CacheSize: -1}, // cache disabled
 	} {
 		e := New(ix, cfg)

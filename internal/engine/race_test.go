@@ -172,7 +172,7 @@ func TestConcurrentBatchWithMutation(t *testing.T) {
 // the race detector can vet the shared disk-store accounting.
 func TestConcurrentSearchOnly(t *testing.T) {
 	ix, queries := buildIndex(t, 400, 16, 4)
-	e := New(ix, Config{Workers: 8, SubWorkers: 2})
+	e := New(ix, Config{Workers: 8})
 	var wg sync.WaitGroup
 	for s := 0; s < 6; s++ {
 		wg.Add(1)

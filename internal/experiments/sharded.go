@@ -95,7 +95,8 @@ func (e *Env) Sharded(workers, batchSize, shards int) []Table {
 		})
 
 		shardedStart := time.Now()
-		results, err := sx.BatchSearch(queries, k)
+		// One outer worker per query keeps every shard's pool fed.
+		results, err := engine.New(sx, engine.Config{Workers: len(queries), CacheSize: -1}).BatchSearch(queries, k)
 		if err != nil {
 			panic(fmt.Sprintf("sharded(%s) batch: %v", name, err))
 		}

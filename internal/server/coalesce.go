@@ -172,7 +172,7 @@ func (c *coalescer) flush(b *bucket) {
 		if w.tr != nil {
 			w.tr.AddSpan(obs.StageCoalesce, dispatch.Sub(w.enq))
 		}
-		futs[i] = c.eng.SubmitTraced(w.tr, q, b.k)
+		futs[i] = c.eng.SubmitQuery(core.Query{Vec: q, K: b.k, Trace: w.tr})
 		// The engine job took its own trace reference; the waiter's last
 		// write was the coalesce span above, so its reference drops here.
 		w.tr.Release()

@@ -630,6 +630,7 @@ func (s *Server) classify(err error) (int, wire.ErrCode) {
 	case errors.Is(err, wire.ErrBadCollection):
 		return http.StatusBadRequest, wire.CodeBadCollection
 	case errors.Is(err, core.ErrDim), errors.Is(err, core.ErrK),
+		errors.Is(err, core.ErrRadius), errors.Is(err, core.ErrShape),
 		errors.Is(err, bregman.ErrDomain), errors.Is(err, approx.ErrGuarantee),
 		errors.Is(err, wire.ErrFrame):
 		return http.StatusBadRequest, wire.CodeBadRequest
@@ -692,13 +693,17 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	var results []wire.Result
-	var err error
+	proto := core.Query{K: req.K}
 	if req.Filter != nil {
-		results, err = s.searchFiltered(tn, r, queries, req.K, req.Filter)
-	} else {
-		results, err = s.searchMany(tn, r, queries, req.K, single)
+		// The predicate rides into the leaf scan (pre-filtered pruning
+		// radii, never a post-filter).
+		var err error
+		if proto.Keep, err = tn.col.Predicate(req.Filter); err != nil {
+			s.writeError(w, err)
+			return
+		}
 	}
+	results, err := s.queryMany(tn, r, queries, proto, single && req.Filter == nil)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -726,17 +731,11 @@ func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float6
 	return queries, single, true
 }
 
-// validate rejects geometry and coordinate problems before any query is
-// scheduled, so coalesced batches cannot fail on one bad member.
-func validate(tn *tenant, queries [][]float64, k int) error {
-	if k <= 0 {
-		return core.ErrK
-	}
-	dim := tn.col.Handle.Dim()
-	for _, q := range queries {
-		if len(q) != dim {
-			return fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(q), dim)
-		}
+// finite rejects NaN and ±Inf coordinates at the trust boundary: no
+// divergence domain admits them, and a NaN would poison every distance it
+// meets.
+func finite(vecs ...[]float64) error {
+	for _, q := range vecs {
 		for _, v := range q {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("%w: non-finite coordinate", wire.ErrFrame)
@@ -746,46 +745,42 @@ func validate(tn *tenant, queries [][]float64, k int) error {
 	return nil
 }
 
-// searchMany answers exact kNN for every query: single queries go
-// through the collection's coalescing window, batches straight to its
-// engine (the client already batched them).
-func (s *Server) searchMany(tn *tenant, r *http.Request, queries [][]float64, k int, single bool) ([]wire.Result, error) {
-	if err := validate(tn, queries, k); err != nil {
+// queryMany answers every query in the shape of proto (its Vec is filled
+// in per query). Everything is validated before anything is scheduled, so
+// a coalesced batch cannot fail on one bad member. With coalesce — a lone
+// exact unfiltered query — the query goes through the collection's
+// coalescing window; batches (the client already batched them) and every
+// other shape go straight to its engine: the coalescer, like the
+// version-keyed result cache, knows nothing about predicates, guarantees
+// or radii.
+func (s *Server) queryMany(tn *tenant, r *http.Request, queries [][]float64, proto core.Query, coalesce bool) ([]wire.Result, error) {
+	if err := finite(queries...); err != nil {
 		return nil, err
 	}
+	if proto.Range && math.IsInf(proto.Radius, 1) {
+		return nil, fmt.Errorf("%w: radius must be finite", wire.ErrFrame)
+	}
+	div, dim := tn.col.Handle.Divergence(), tn.col.Handle.Dim()
+	for _, q := range queries {
+		proto.Vec = q
+		if err := proto.Validate(div, dim); err != nil {
+			return nil, err
+		}
+	}
 	tr := obs.From(r.Context())
-	tr.SetQuery(k, len(queries))
-	if single {
-		res, err := tn.co.search(r.Context(), queries[0], k)
+	tr.SetQuery(proto.K, len(queries))
+	if coalesce {
+		res, err := tn.co.search(r.Context(), queries[0], proto.K)
 		if err != nil {
 			return nil, err
 		}
 		return []wire.Result{toWire(res)}, nil
 	}
+	proto.Trace = tr
 	futs := make([]*engine.Future, len(queries))
 	for i, q := range queries {
-		futs[i] = tn.eng.SubmitTraced(tr, q, k)
-	}
-	return await(r, futs)
-}
-
-// searchFiltered answers the exact top-k over only the points the tag
-// filter admits. The predicate rides into the leaf scan (pre-filtered
-// pruning radii, never a post-filter), bypassing the coalescer and the
-// version-keyed result cache — neither knows about predicates.
-func (s *Server) searchFiltered(tn *tenant, r *http.Request, queries [][]float64, k int, f *wire.Filter) ([]wire.Result, error) {
-	if err := validate(tn, queries, k); err != nil {
-		return nil, err
-	}
-	keep, err := tn.col.Predicate(f)
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.From(r.Context())
-	tr.SetQuery(k, len(queries))
-	futs := make([]*engine.Future, len(queries))
-	for i, q := range queries {
-		futs[i] = tn.eng.SubmitFilterTraced(tr, q, k, keep)
+		proto.Vec = q
+		futs[i] = tn.eng.SubmitQuery(proto)
 	}
 	return await(r, futs)
 }
@@ -824,28 +819,12 @@ func (s *Server) handleApprox(tn *tenant, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	results, err := s.approxMany(tn, r, queries, req.K, req.P)
+	results, err := s.queryMany(tn, r, queries, core.Query{K: req.K, Approx: true, P: req.P}, false)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.SearchResponse{Results: results})
-}
-
-func (s *Server) approxMany(tn *tenant, r *http.Request, queries [][]float64, k int, p float64) ([]wire.Result, error) {
-	if err := validate(tn, queries, k); err != nil {
-		return nil, err
-	}
-	if !(p > 0 && p <= 1) {
-		return nil, approx.ErrGuarantee
-	}
-	tr := obs.From(r.Context())
-	tr.SetQuery(k, len(queries))
-	futs := make([]*engine.Future, len(queries))
-	for i, q := range queries {
-		futs[i] = tn.eng.SubmitApproxTraced(tr, q, k, p)
-	}
-	return await(r, futs)
 }
 
 func (s *Server) handleRange(tn *tenant, w http.ResponseWriter, r *http.Request) {
@@ -861,28 +840,12 @@ func (s *Server) handleRange(tn *tenant, w http.ResponseWriter, r *http.Request)
 	if !ok {
 		return
 	}
-	results, err := s.rangeMany(tn, r, queries, req.R)
+	results, err := s.queryMany(tn, r, queries, core.Query{Range: true, Radius: req.R}, false)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.SearchResponse{Results: results})
-}
-
-func (s *Server) rangeMany(tn *tenant, r *http.Request, queries [][]float64, radius float64) ([]wire.Result, error) {
-	if err := validate(tn, queries, 1); err != nil { // k unused; validate geometry
-		return nil, err
-	}
-	if !(radius >= 0) || math.IsInf(radius, 1) {
-		return nil, fmt.Errorf("%w: radius must be finite and non-negative", wire.ErrFrame)
-	}
-	tr := obs.From(r.Context())
-	tr.SetQuery(0, len(queries))
-	futs := make([]*engine.Future, len(queries))
-	for i, q := range queries {
-		futs[i] = tn.eng.SubmitRangeTraced(tr, q, radius)
-	}
-	return await(r, futs)
 }
 
 func (s *Server) handleInsert(tn *tenant, w http.ResponseWriter, r *http.Request) {
@@ -913,7 +876,8 @@ func (s *Server) handleInsert(tn *tenant, w http.ResponseWriter, r *http.Request
 }
 
 func (s *Server) insertOne(tn *tenant, p []float64) (int, error) {
-	if err := validate(tn, [][]float64{p}, 1); err != nil {
+	// The durable index checks dimensionality and domain before it logs.
+	if err := finite(p); err != nil {
 		return 0, err
 	}
 	return tn.eng.Insert(p)
@@ -999,13 +963,13 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	var results []wire.Result
 	switch req.Op {
 	case wire.OpSearch:
-		results, err = s.searchMany(tn, r, req.Queries, req.K, len(req.Queries) == 1)
+		results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K}, len(req.Queries) == 1)
 		resp.Results = results
 	case wire.OpApprox:
-		results, err = s.approxMany(tn, r, req.Queries, req.K, req.Param)
+		results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K, Approx: true, P: req.Param}, false)
 		resp.Results = results
 	case wire.OpRange:
-		results, err = s.rangeMany(tn, r, req.Queries, req.Param)
+		results, err = s.queryMany(tn, r, req.Queries, core.Query{Range: true, Radius: req.Param}, false)
 		resp.Results = results
 	case wire.OpInsert:
 		var id int

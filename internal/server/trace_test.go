@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"brepartition/internal/core"
 	"brepartition/internal/engine"
 	"brepartition/internal/obs"
 	"brepartition/internal/wire"
@@ -176,7 +177,7 @@ func TestTraceCountersMatchRecount(t *testing.T) {
 		t.Fatalf("got %d slow-log lines for %d queries", len(lines), len(queries))
 	}
 	for i, q := range queries {
-		want, err := s.handle.Search(q, k)
+		want, err := s.handle.Query(nil, &core.Query{Vec: q, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}

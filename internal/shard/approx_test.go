@@ -28,7 +28,7 @@ func TestShardedSearchApprox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sx.SearchApprox(q, k, 1)
+		got, err := searchApprox(sx, q, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestShardedSearchApprox(t *testing.T) {
 	hits, total := 0, 0
 	for _, q := range queries {
 		want, _ := sx.Search(q, k)
-		got, err := sx.SearchApprox(q, k, 0.8)
+		got, err := searchApprox(sx, q, k, 0.8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,14 +62,14 @@ func TestShardedSearchApprox(t *testing.T) {
 	}
 
 	for _, p := range []float64{0, -0.5, 1.5} {
-		if _, err := sx.SearchApprox(queries[0], k, p); !errors.Is(err, approx.ErrGuarantee) {
+		if _, err := searchApprox(sx, queries[0], k, p); !errors.Is(err, approx.ErrGuarantee) {
 			t.Fatalf("p=%v: err = %v, want ErrGuarantee", p, err)
 		}
 	}
-	if _, err := sx.SearchApprox(queries[0], 0, 1); !errors.Is(err, core.ErrK) {
+	if _, err := searchApprox(sx, queries[0], 0, 1); !errors.Is(err, core.ErrK) {
 		t.Fatalf("k=0: err = %v, want ErrK", err)
 	}
-	if _, err := sx.SearchApprox(queries[0][:3], k, 1); !errors.Is(err, core.ErrDim) {
+	if _, err := searchApprox(sx, queries[0][:3], k, 1); !errors.Is(err, core.ErrDim) {
 		t.Fatalf("bad dim: err = %v, want ErrDim", err)
 	}
 }

@@ -1,22 +1,21 @@
 package shard
 
 // Cold tier, sharded: every sub-index carries its own coldtier replica
-// (built over that sub's LOCAL live ids), so a cold scatter reuses the
-// exact merge unchanged — per-shard answers arrive with local ids in
-// (distance, local id) order, and l2g's strict monotonicity makes that
-// the global (distance, id) order merge already relies on. A slot whose
-// sub has no tier (compaction replaced it, or it was materialized after
-// the last EnsureColdTier) transparently serves its part of the query
-// hot; a slot whose tier is stale does the same inside core. Either way
-// the merged answer stays exact, and the fallbacks are counted.
+// (built over that sub's LOCAL live ids), so a query with the Cold
+// preference goes through the same scatter and exact merge as any other
+// (Index.Query) — per-shard answers arrive with local ids in (distance,
+// local id) order, and l2g's strict monotonicity makes that the global
+// (distance, id) order merge already relies on. A slot whose sub has no
+// tier (compaction replaced it, or it was materialized after the last
+// EnsureColdTier) transparently serves its part of the query hot; a slot
+// whose tier is stale does the same inside core. Either way the merged
+// answer stays exact, and the fallbacks are counted.
 
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"brepartition/internal/coldtier"
-	"brepartition/internal/core"
 )
 
 // coldShardDir names shard s's tier directory under the tier root.
@@ -42,7 +41,7 @@ func (ix *Index) EnsureColdTier(dir string, cfg coldtier.Config) error {
 }
 
 // HasColdTier reports whether every populated shard has a tier attached
-// (false on a fully empty index). SearchCold works regardless — shards
+// (false on a fully empty index). A Cold query works regardless — shards
 // without a tier serve hot — so this is a health signal, not a guard.
 func (ix *Index) HasColdTier() bool {
 	slots := ix.snapshotSlots()
@@ -57,47 +56,6 @@ func (ix *Index) HasColdTier() bool {
 		any = true
 	}
 	return any
-}
-
-// SearchCold answers the exact k nearest neighbours of q, scattering
-// across shards like Search but serving each shard from its cold tier:
-// the compressed-domain pass prunes in memory and only survivors fault
-// pages in through the per-shard block caches. Results are bit-identical
-// to Search over the same index state; shards with a missing or stale
-// tier serve their part hot (counted, never wrong).
-func (ix *Index) SearchCold(q []float64, k int) (core.Result, error) {
-	if k <= 0 {
-		return core.Result{}, core.ErrK
-	}
-	if len(q) != ix.d {
-		return core.Result{}, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(q), ix.d)
-	}
-	slots := ix.snapshotSlots()
-	perShard := make([]core.Result, len(slots))
-	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for s, sl := range slots {
-		if sl == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, sl *slot) {
-			defer wg.Done()
-			if sl.sub.HasColdTier() {
-				perShard[s], errs[s] = sl.sub.SearchCold(q, k)
-				return
-			}
-			ix.coldFallbacks.Add(1)
-			perShard[s], errs[s] = sl.sub.Search(q, k)
-		}(s, sl)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	return ix.merge(slots, perShard, k), nil
 }
 
 // ColdStats sums the per-shard tier counters and footprints; ok is false
@@ -183,12 +141,6 @@ func (d *Durable) ColdDir() string {
 // cheap reopen.
 func (d *Durable) EnsureColdTier(cfg coldtier.Config) error {
 	return d.ix.EnsureColdTier(d.ColdDir(), cfg)
-}
-
-// SearchCold answers exactly like Search, serving each shard from its
-// cold tier when one is attached and fresh (hot otherwise).
-func (d *Durable) SearchCold(q []float64, k int) (core.Result, error) {
-	return d.ix.SearchCold(q, k)
 }
 
 // HasColdTier reports whether every populated shard has a tier attached.

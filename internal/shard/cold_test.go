@@ -36,7 +36,7 @@ func TestShardColdMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold, err := sx.SearchCold(q, 10)
+				cold, err := searchCold(sx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestShardColdStalenessIsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := sx.SearchCold(q, 8)
+	cold, err := searchCold(sx, q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestShardColdStalenessIsPerShard(t *testing.T) {
 	if err := sx.EnsureColdTier(dir, shardColdCfg()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sx.SearchCold(q, 8); err != nil {
+	if _, err := searchCold(sx, q, 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := sx.ColdFallbacks(); got != fb {
@@ -149,7 +149,7 @@ func TestDurableColdCompactionFallsBackHot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := d.SearchCold(q, 7)
+	cold, err := searchCold(d, q, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDurableColdCompactionFallsBackHot(t *testing.T) {
 		t.Fatal("HasColdTier = false after re-ensure")
 	}
 	after := d.ColdFallbacks()
-	if _, err := d.SearchCold(q, 7); err != nil {
+	if _, err := searchCold(d, q, 7); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.ColdFallbacks(); got != after {
@@ -185,7 +185,7 @@ func TestHandleColdTierRoutingAndReload(t *testing.T) {
 	defer h.Close()
 
 	q := pts[42]
-	want, err := h.Search(q, 9)
+	want, err := search(h, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestHandleColdTierRoutingAndReload(t *testing.T) {
 	if !h.ColdTierEnabled() {
 		t.Fatal("ColdTierEnabled = false after enable")
 	}
-	got, err := h.Search(q, 9)
+	got, err := search(h, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestHandleColdTierRoutingAndReload(t *testing.T) {
 	}
 
 	// Batch goes through the tier too.
-	batch, err := h.BatchSearch([][]float64{q, pts[7]}, 5)
+	batch, err := batchSearch(h, [][]float64{q, pts[7]}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestHandleColdTierRoutingAndReload(t *testing.T) {
 	if !h.ColdTierEnabled() {
 		t.Fatal("reload dropped the cold-tier setting")
 	}
-	got2, err := h.Search(q, 9)
+	got2, err := search(h, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestHandleColdTierRoutingAndReload(t *testing.T) {
 	if h.ColdTierEnabled() {
 		t.Fatal("ColdTierEnabled = true after disable")
 	}
-	got3, err := h.Search(q, 9)
+	got3, err := search(h, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func (d *Durable) Insert(p []float64) (int, error) {
 	// apply after the WAL append cannot fail on bad input.
 	if len(p) != d.ix.Dim() {
 		d.dmu.Unlock()
-		return 0, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(p), d.ix.Dim())
+		return 0, core.DimError(len(p), d.ix.Dim())
 	}
 	if err := bregman.CheckDomain(d.ix.Divergence(), p); err != nil {
 		d.dmu.Unlock()
@@ -478,38 +478,19 @@ func (d *Durable) WALSize() int64 { return d.wal.Size() }
 
 // --- read path: straight delegation to the sharded index -----------------
 
+// Query answers q from the sharded index; durability adds nothing to a
+// read (see Index.Query).
+func (d *Durable) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
+	return d.ix.Query(dst, q)
+}
+
 // Search returns the exact k nearest neighbours of q across all shards.
-func (d *Durable) Search(q []float64, k int) (core.Result, error) { return d.ix.Search(q, k) }
-
-// SearchParallel is Search (the shard scatter is the parallel axis).
-func (d *Durable) SearchParallel(q []float64, k, workers int) (core.Result, error) {
-	return d.ix.SearchParallel(q, k, workers)
-}
-
-// SearchApprox answers k neighbours that are the exact kNN with
-// probability at least p (per-shard guarantees compose; see
-// Index.SearchApprox).
-func (d *Durable) SearchApprox(q []float64, k int, p float64) (core.Result, error) {
-	return d.ix.SearchApprox(q, k, p)
-}
-
-// SearchFilter returns the exact k nearest among the ids keep admits.
-func (d *Durable) SearchFilter(q []float64, k int, keep func(global int) bool) (core.Result, error) {
-	return d.ix.SearchFilter(q, k, keep)
+func (d *Durable) Search(q []float64, k int) (core.Result, error) {
+	return d.ix.Query(nil, &core.Query{Vec: q, K: k})
 }
 
 // Divergence returns the divergence the index was built with.
 func (d *Durable) Divergence() bregman.Divergence { return d.ix.Divergence() }
-
-// BatchSearch answers all queries in query order.
-func (d *Durable) BatchSearch(queries [][]float64, k int) ([]core.Result, error) {
-	return d.ix.BatchSearch(queries, k)
-}
-
-// RangeSearch returns every point with D_f(x, q) ≤ r across all shards.
-func (d *Durable) RangeSearch(q []float64, r float64) ([]topk.Item, core.SearchStats, error) {
-	return d.ix.RangeSearch(q, r)
-}
 
 // Version counts mutations (the engine result-cache key).
 func (d *Durable) Version() uint64 { return d.ix.Version() }

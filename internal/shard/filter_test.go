@@ -36,7 +36,7 @@ func TestSearchFilterOracle(t *testing.T) {
 			for j := range q {
 				q[j] = 0.1 + rng.Float64()
 			}
-			got, err := ix.SearchFilter(q, 7, keep)
+			got, err := searchFilter(ix, q, 7, keep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestSearchFilterConcurrentInsert(t *testing.T) {
 		q[j] = 0.5
 	}
 	for i := 0; i < 200; i++ {
-		res, err := ix.SearchFilter(q, 5, keep)
+		res, err := searchFilter(ix, q, 5, keep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,8 @@ import (
 
 // Handle is an atomically swappable reference to a Durable index: the
 // serving layer's one stable object across hot snapshot reloads. Reads
-// (Search and friends) load the current index with a single atomic
-// pointer read and run against it lock-free; a query that started before
+// (Query) load the current index with a single atomic pointer read and
+// run against it lock-free; a query that started before
 // a swap simply finishes on the index generation it started on — swaps
 // never drop or block in-flight queries. Mutations take a shared swap
 // lock so a reload can quiesce the write path (exclusive side) for the
@@ -123,55 +123,18 @@ func (h *Handle) Close() error {
 
 // --- read path: lock-free delegation to the current generation ----------
 
-// Search returns the exact k nearest neighbours of q. With a cold tier
-// enabled the query is served from the paged tier (identical answers,
-// bounded memory); shards whose tier is missing or stale serve hot.
-func (h *Handle) Search(q []float64, k int) (core.Result, error) {
+// Query answers q from the current generation. With a cold tier enabled
+// the query is given the Cold preference: exact unfiltered kNN is served
+// from the paged tier (identical answers, bounded memory; shards whose
+// tier is missing or stale serve hot), every other shape stays hot.
+func (h *Handle) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 	d := h.cur.Load()
 	if h.coldCfg.Load() != nil {
-		return d.SearchCold(q, k)
+		cold := *q
+		cold.Cold = true
+		q = &cold
 	}
-	return d.Search(q, k)
-}
-
-// SearchParallel is Search (the shard scatter is the parallel axis).
-func (h *Handle) SearchParallel(q []float64, k, workers int) (core.Result, error) {
-	if h.coldCfg.Load() != nil {
-		return h.cur.Load().SearchCold(q, k)
-	}
-	return h.cur.Load().SearchParallel(q, k, workers)
-}
-
-// SearchApprox answers with probability guarantee p.
-func (h *Handle) SearchApprox(q []float64, k int, p float64) (core.Result, error) {
-	return h.cur.Load().SearchApprox(q, k, p)
-}
-
-// SearchFilter returns the exact k nearest among the ids keep admits.
-func (h *Handle) SearchFilter(q []float64, k int, keep func(global int) bool) (core.Result, error) {
-	return h.cur.Load().SearchFilter(q, k, keep)
-}
-
-// BatchSearch answers all queries in order against one generation.
-func (h *Handle) BatchSearch(queries [][]float64, k int) ([]core.Result, error) {
-	d := h.cur.Load()
-	if h.coldCfg.Load() != nil {
-		out := make([]core.Result, len(queries))
-		for i, q := range queries {
-			r, err := d.SearchCold(q, k)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	return d.BatchSearch(queries, k)
-}
-
-// RangeSearch returns every point within distance r of q.
-func (h *Handle) RangeSearch(q []float64, r float64) ([]topk.Item, core.SearchStats, error) {
-	return h.cur.Load().RangeSearch(q, r)
+	return d.Query(dst, q)
 }
 
 // Version counts mutations; continuous across reloads.
@@ -260,10 +223,10 @@ func (h *Handle) CompactShard(s int) (CompactStats, error) {
 // --- cold tier: paged serving under a memory budget ---------------------
 
 // EnableColdTier builds (or reopens) per-shard cold tiers under the
-// durable root's cold directory and routes subsequent exact searches —
-// Search, SearchParallel, BatchSearch — through them. The setting
-// survives reloads: each new generation re-ensures its tiers. Approximate,
-// filtered, and range searches stay on the hot path.
+// durable root's cold directory and routes subsequent exact unfiltered
+// kNN queries through them. The setting survives reloads: each new
+// generation re-ensures its tiers. Approximate, filtered, and range
+// queries stay on the hot path.
 func (h *Handle) EnableColdTier(cfg coldtier.Config) error {
 	h.swapMu.RLock()
 	defer h.swapMu.RUnlock()

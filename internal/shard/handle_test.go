@@ -56,7 +56,7 @@ func TestHandleReloadUnderLoad(t *testing.T) {
 	queries := handlePoints(16, 12, 99)
 	want := make([]core.Result, len(queries))
 	for i, q := range queries {
-		res, err := h.Search(q, k)
+		res, err := search(h, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestHandleReloadUnderLoad(t *testing.T) {
 				default:
 				}
 				qi := (w + i) % len(queries)
-				res, err := h.Search(queries[qi], k)
+				res, err := search(h, queries[qi], k)
 				if err != nil {
 					errc <- fmt.Errorf("search during reload: %w", err)
 					return
@@ -118,7 +118,7 @@ func TestHandleReloadUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.Search(pts[0], 1)
+	res, err := search(h, pts[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestHandleDegradedReload(t *testing.T) {
 		t.Fatal("degraded handle reports no Err")
 	}
 	// Reads still serve from the old in-memory generation.
-	if _, err := h.Search(pts[0], 3); err != nil {
+	if _, err := search(h, pts[0], 3); err != nil {
 		t.Fatalf("read path down while degraded: %v", err)
 	}
 	// Writes fail cleanly (closed WAL), not silently.

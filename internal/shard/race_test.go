@@ -125,7 +125,7 @@ func TestShardedConcurrentMutationOracle(t *testing.T) {
 				var results []core.Result
 				var err error
 				if useBatch {
-					results, err = sx.BatchSearch(queries, k)
+					results, err = batchSearch(sx, queries, k)
 				} else {
 					results = make([]core.Result, len(queries))
 					for qi, q := range queries {
@@ -163,7 +163,7 @@ func TestShardedConcurrentMutationOracle(t *testing.T) {
 	if sx.Live() != len(alive) {
 		t.Fatalf("Live() = %d, mutator left %d points", sx.Live(), len(alive))
 	}
-	items, _, err := sx.RangeSearch(queries[0], 1e18)
+	items, _, err := rangeSearch(sx, queries[0], 1e18)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"brepartition/internal/approx"
 	"brepartition/internal/bregman"
 	"brepartition/internal/core"
 	"brepartition/internal/engine"
+	"brepartition/internal/obs"
 	"brepartition/internal/partition"
 	"brepartition/internal/topk"
 )
@@ -332,11 +332,8 @@ func (ix *Index) M() int {
 	return 0
 }
 
-// snapshotSlots copies the current shard generations so the scatter loop
-// runs without holding the map lock, and so gather/merge answer and
-// translate against exactly the generations the query was submitted to —
-// a compaction swap between submit and merge cannot misdirect the
-// local→global translation.
+// snapshotSlots copies the current shard generations so work over every
+// shard runs without holding the map lock.
 func (ix *Index) snapshotSlots() []*slot {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -345,71 +342,99 @@ func (ix *Index) snapshotSlots() []*slot {
 	return out
 }
 
-// Search returns the exact k nearest neighbours of q across all shards:
-// ids and distances are identical to a single core index built over the
-// same points. Items carry global ids.
+// Search returns the exact k nearest neighbours of q across all shards.
 func (ix *Index) Search(q []float64, k int) (core.Result, error) {
-	if k <= 0 {
-		return core.Result{}, core.ErrK
+	return ix.Query(nil, &core.Query{Vec: q, K: k})
+}
+
+// Query answers q across all shards, appending the merged items (global
+// ids) to dst. Ids and distances are identical to a single core index
+// built over the same points, for every query shape:
+//
+//   - kNN and range answers merge exactly (see merge);
+//   - an approximate search runs each of the S live shards with the
+//     guarantee P^(1/S): the global answer is exact whenever every shard's
+//     local answer is, and shard failures are independent, so the
+//     per-shard guarantees multiply back to ≥ P (P = 1 stays exact);
+//   - a filter is translated through each shard's local→global map and
+//     pushed into that shard's bound selection and leaf emission;
+//   - Cold is passed to the shards that carry a tier; the others serve
+//     their part hot, counted in ColdFallbacks.
+//
+// With q.Trace set, one child span per live shard is recorded from the
+// timings the per-shard engines stamp on their futures (those engines get
+// no trace of their own: their queue and run spans would double-count the
+// serving engine's).
+func (ix *Index) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
+	if err := q.Validate(ix.div, ix.d); err != nil {
+		return core.Result{}, err
 	}
-	if len(q) != ix.d {
-		return core.Result{}, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(q), ix.d)
+	slots, futs := ix.scatter(q)
+	return ix.gather(dst, q, slots, futs)
+}
+
+// scatter submits q's per-shard sub-queries to the shard engines and
+// returns the slot generations they were submitted to, so gather answers
+// and translates against exactly those — a compaction swap between submit
+// and merge cannot misdirect the local→global translation.
+func (ix *Index) scatter(q *core.Query) ([]*slot, []*engine.Future) {
+	// Capture the slot generations and, for a filter, their l2g slice
+	// headers under one read lock: l2g is appended under the id-map write
+	// lock and append may reallocate the backing array, so reading the
+	// live slice header lock-free inside the per-shard predicate would
+	// race. A local id at or past the captured length belongs to a point
+	// inserted after the capture; treating it as non-matching is
+	// consistent with the mutation-atomicity contract (the query observes
+	// the index before that insert).
+	ix.mu.RLock()
+	slots := make([]*slot, len(ix.slots))
+	copy(slots, ix.slots)
+	var l2gs [][]int
+	if q.Keep != nil {
+		l2gs = make([][]int, len(slots))
+		for s, sl := range slots {
+			if sl != nil {
+				l2gs[s] = sl.l2g
+			}
+		}
 	}
-	slots := ix.snapshotSlots()
+	ix.mu.RUnlock()
+
+	sub := *q
+	sub.Trace = nil
+	cold := q.ServesCold()
+	if q.Approx {
+		live := 0
+		for _, sl := range slots {
+			if sl != nil {
+				live++
+			}
+		}
+		if live > 1 {
+			sub.P = math.Pow(q.P, 1/float64(live))
+		}
+	}
 	futs := make([]*engine.Future, len(slots))
 	for s, sl := range slots {
-		if sl != nil {
-			futs[s] = sl.eng.Submit(q, k)
+		if sl == nil {
+			continue
 		}
+		if q.Keep != nil {
+			l2g, keep := l2gs[s], q.Keep
+			sub.Keep = func(id int) bool { return id < len(l2g) && keep(l2g[id]) }
+		}
+		if cold {
+			if sub.Cold = sl.sub.HasColdTier(); !sub.Cold {
+				ix.coldFallbacks.Add(1)
+			}
+		}
+		futs[s] = sl.eng.SubmitQuery(sub)
 	}
-	return ix.gather(slots, futs, k)
+	return slots, futs
 }
 
-// SearchParallel is Search: the scatter across shards is already the
-// parallel axis, so the per-query worker hint is ignored. It exists so the
-// engine can drive a sharded backend through the same interface.
-func (ix *Index) SearchParallel(q []float64, k, workers int) (core.Result, error) {
-	return ix.Search(q, k)
-}
-
-// SearchApprox answers k neighbours that are the exact kNN with
-// probability at least p ∈ (0,1]. Each shard runs its §8 approximate
-// search with the per-shard guarantee p^(1/S): the global answer is exact
-// whenever every shard's local answer is, and shard failures are
-// independent, so the per-shard guarantees multiply back to ≥ p. p = 1
-// degenerates to exact search, bit-identical to Search.
-func (ix *Index) SearchApprox(q []float64, k int, p float64) (core.Result, error) {
-	if !(p > 0 && p <= 1) {
-		return core.Result{}, approx.ErrGuarantee
-	}
-	if k <= 0 {
-		return core.Result{}, core.ErrK
-	}
-	if len(q) != ix.d {
-		return core.Result{}, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(q), ix.d)
-	}
-	slots := ix.snapshotSlots()
-	live := 0
-	for _, sl := range slots {
-		if sl != nil {
-			live++
-		}
-	}
-	ps := p
-	if live > 1 {
-		ps = math.Pow(p, 1/float64(live))
-	}
-	futs := make([]*engine.Future, len(slots))
-	for s, sl := range slots {
-		if sl != nil {
-			futs[s] = sl.eng.SubmitApprox(q, k, ps)
-		}
-	}
-	return ix.gather(slots, futs, k)
-}
-
-// gather awaits the per-shard futures and merges their top-k heaps.
-func (ix *Index) gather(slots []*slot, futs []*engine.Future, k int) (core.Result, error) {
+// gather awaits the per-shard futures and merges their answers.
+func (ix *Index) gather(dst []topk.Item, q *core.Query, slots []*slot, futs []*engine.Future) (core.Result, error) {
 	perShard := make([]core.Result, len(futs))
 	var firstErr error
 	for s, f := range futs {
@@ -425,25 +450,39 @@ func (ix *Index) gather(slots []*slot, futs []*engine.Future, k int) (core.Resul
 	if firstErr != nil {
 		return core.Result{}, firstErr
 	}
-	return ix.merge(slots, perShard, k), nil
+	if q.Trace != nil {
+		for s, f := range futs {
+			if f != nil {
+				q.Trace.AddShard(obs.ShardSpan{
+					Shard:      s,
+					Queue:      f.QueueWait(),
+					Run:        f.RunTime(),
+					Items:      len(perShard[s].Items),
+					Candidates: perShard[s].Stats.Candidates,
+				})
+			}
+		}
+	}
+	return ix.merge(dst, q, slots, perShard), nil
 }
 
-// merge combines per-shard results into the global top-k. Every shard
-// contributed its exact local top-k with ties broken by local id — and
-// local id order is global id order within a shard — so sorting the union
-// by (distance, global id) and truncating reproduces exactly the answer a
-// single index over all points would give. Translation goes through the
-// slots the query was scattered to, under the id-map read lock: a slot's
-// l2g only ever grows within its generation (a compaction installs a new
-// slot object rather than touching the old one), so the captured map is
-// valid for every local id the old generation could have answered with.
-func (ix *Index) merge(slots []*slot, perShard []core.Result, k int) core.Result {
+// merge combines per-shard results into the global answer, appended to
+// dst. Every shard contributed its exact local answer with ties broken by
+// local id — and local id order is global id order within a shard — so
+// sorting the union by (distance, global id) and, for kNN, truncating to K
+// reproduces exactly the answer a single index over all points would give.
+// Translation goes through the slots the query was scattered to, under the
+// id-map read lock: a slot's l2g only ever grows within its generation (a
+// compaction installs a new slot object rather than touching the old one),
+// so the captured map is valid for every local id the old generation could
+// have answered with.
+func (ix *Index) merge(dst []topk.Item, q *core.Query, slots []*slot, perShard []core.Result) core.Result {
 	var out core.Result
 	total := 0
 	for _, r := range perShard {
 		total += len(r.Items)
 	}
-	all := make([]topk.Item, 0, total)
+	all := slices.Grow(dst, total)
 
 	fl := firstLive(perShard)
 	ix.mu.RLock()
@@ -454,13 +493,17 @@ func (ix *Index) merge(slots []*slot, perShard []core.Result, k int) core.Result
 		out.Stats = addStats(out.Stats, r.Stats, s == fl)
 	}
 	ix.mu.RUnlock()
+	if out.Stats.ApproxC == 0 {
+		out.Stats.ApproxC = 1 // no shard searched: trivially exact
+	}
 
 	// topk.Compare is the same (distance, global id) order every shard's
 	// local answer used, so the merged truncation is exact; SortFunc keeps
 	// the per-query merge allocation-free.
-	slices.SortFunc(all, topk.Compare)
-	if len(all) > k {
-		all = all[:k]
+	merged := all[len(dst):]
+	slices.SortFunc(merged, topk.Compare)
+	if !q.Range && len(merged) > q.K {
+		all = all[:len(dst)+q.K]
 	}
 	out.Items = all
 	return out
@@ -479,7 +522,9 @@ func firstLive(perShard []core.Result) int {
 
 // addStats folds one shard's work into the aggregate: work counters and
 // phase times sum (total cost across the fleet), BoundTotal keeps the
-// tightest per-shard bound, ApproxC stays 1 (sharded search is exact).
+// tightest per-shard bound, ApproxC the smallest per-shard coefficient
+// (the loosest shard bounds the whole answer's guarantee; 1 when every
+// shard searched exactly).
 func addStats(agg, s core.SearchStats, first bool) core.SearchStats {
 	agg.PageReads += s.PageReads
 	agg.Candidates += s.Candidates
@@ -493,58 +538,13 @@ func addStats(agg, s core.SearchStats, first bool) core.SearchStats {
 	agg.ColdPageFaults += s.ColdPageFaults
 	agg.ColdCacheHits += s.ColdCacheHits
 	agg.ColdTime += s.ColdTime
-	agg.ApproxC = 1
+	if s.ApproxC > 0 && (agg.ApproxC == 0 || s.ApproxC < agg.ApproxC) {
+		agg.ApproxC = s.ApproxC
+	}
 	if first || (s.BoundTotal > 0 && s.BoundTotal < agg.BoundTotal) {
 		agg.BoundTotal = s.BoundTotal
 	}
 	return agg
-}
-
-// BatchSearch answers all queries, scatter-gathering each across every
-// shard with up to Workers concurrent queries per shard. Results arrive in
-// query order and match a sequential Search loop exactly.
-func (ix *Index) BatchSearch(queries [][]float64, k int) ([]core.Result, error) {
-	if k <= 0 {
-		return nil, core.ErrK
-	}
-	slots := ix.snapshotSlots()
-	futs := make([][]*engine.Future, len(queries))
-	for qi, q := range queries {
-		futs[qi] = make([]*engine.Future, len(slots))
-		for s, sl := range slots {
-			if sl != nil {
-				futs[qi][s] = sl.eng.Submit(q, k)
-			}
-		}
-	}
-	out := make([]core.Result, len(queries))
-	var firstErr error
-	for qi := range futs {
-		res, err := ix.gather(slots, futs[qi], k)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		out[qi] = res
-	}
-	return out, firstErr
-}
-
-// RangeSearch returns every point with D_f(x, q) ≤ r across all shards,
-// ascending by (distance, global id), with the summed work statistics.
-func (ix *Index) RangeSearch(q []float64, r float64) ([]topk.Item, core.SearchStats, error) {
-	var stats core.SearchStats
-	if len(q) != ix.d {
-		return nil, stats, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(q), ix.d)
-	}
-	slots := ix.snapshotSlots()
-	futs := make([]*engine.Future, len(slots))
-	for s, sl := range slots {
-		if sl != nil {
-			futs[s] = sl.eng.SubmitRange(q, r)
-		}
-	}
-	res, err := ix.gather(slots, futs, int(^uint(0)>>1)) // no truncation
-	return res.Items, res.Stats, err
 }
 
 // Insert adds a point, assigns it the next global id, and routes it to
@@ -556,7 +556,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(p) != ix.d {
-		return 0, fmt.Errorf("%w: got %d, want %d", core.ErrDim, len(p), ix.d)
+		return 0, core.DimError(len(p), ix.d)
 	}
 	g := len(ix.globalLoc)
 	s := ix.shardFor(g)

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"brepartition/internal/bregman"
 	"brepartition/internal/core"
+	"brepartition/internal/engine"
 	"brepartition/internal/kernel"
 	"brepartition/internal/scan"
 	"brepartition/internal/topk"
@@ -105,7 +107,7 @@ func TestShardedRangeSearchMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		q := points[rng.Intn(len(points))]
 		r := 0.5 + 4*rng.Float64()
-		items, _, err := sx.RangeSearch(q, r)
+		items, _, err := rangeSearch(sx, q, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,30 +133,64 @@ func TestShardedRangeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesSequential: BatchSearch must equal a Search loop.
+// TestShardedBatchMatchesSequential: a batch must equal a Search loop, on a
+// plain sharded index and on a handle serving through its cold tier alike
+// (ISSUE 23: the handle's cold batch used to run its queries one after
+// another and drop every result on the first error). Either way every
+// query settles before the first error is reported.
 func TestShardedBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	div := bregman.ItakuraSaito{}
 	points := genPoints(rng, 400, 10)
 	sx, _ := buildBoth(t, div, points, 4, 3)
 
-	queries := make([][]float64, 32)
-	for i := range queries {
-		queries[i] = points[rng.Intn(len(points))]
-	}
-	const k = 7
-	batch, err := sx.BatchSearch(queries, k)
-	if err != nil {
+	h, _, _, hpts := buildHandle(t, 400)
+	defer h.Close()
+	if err := h.EnableColdTier(shardColdCfg()); err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range queries {
-		want, err := sx.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch[i].Items, want.Items) {
-			t.Fatalf("query %d: batch %v, sequential %v", i, batch[i].Items, want.Items)
-		}
+
+	for _, c := range []struct {
+		name   string
+		b      engine.Backend
+		points [][]float64
+	}{
+		{"sharded", sx, points},
+		{"handle-cold", h, hpts},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			queries := make([][]float64, 32)
+			for i := range queries {
+				queries[i] = c.points[rng.Intn(len(c.points))]
+			}
+			const k = 7
+			batch, err := batchSearch(c.b, queries, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				want, err := search(c.b, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch[i].Items, want.Items) {
+					t.Fatalf("query %d: batch %v, sequential %v", i, batch[i].Items, want.Items)
+				}
+			}
+
+			// One bad member fails the batch but not its neighbours.
+			queries[3] = queries[3][:2]
+			batch, err = batchSearch(c.b, queries, k)
+			if !errors.Is(err, core.ErrDim) {
+				t.Fatalf("batch with a short query: err = %v, want ErrDim", err)
+			}
+			if len(batch) != len(queries) || len(batch[4].Items) != k || len(batch[3].Items) != 0 {
+				t.Fatalf("batch did not settle every query: %d results, neighbour has %d items", len(batch), len(batch[4].Items))
+			}
+		})
+	}
+	if st, ok := h.ColdStats(); !ok || st.Queries == 0 {
+		t.Fatalf("the handle's batch never reached the cold tier: %+v ok=%v", st, ok)
 	}
 }
 
