@@ -115,7 +115,9 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func(string, ...brepartition.ServeOption) (*brepartition.Collections, error) = brepartition.OpenCollections
 	var _ func(brepartition.DurableOptions) brepartition.ServeOption = brepartition.WithDurableConfig
 	var _ func(brepartition.ServerOptions) brepartition.ServeOption = brepartition.WithServerConfig
-	var _ func(int, time.Duration) brepartition.ServeOption = brepartition.WithCoalescing
+	// WithCoalescing is gone with the request coalescer it tuned: the
+	// window submitted each member as its own engine query, so it shared
+	// no work and only added delay to every lone search.
 	var _ func(int, int) brepartition.ServeOption = brepartition.WithAdmission
 	var _ func(time.Duration) brepartition.ServeOption = brepartition.WithMaintenance
 	var srv *brepartition.Server

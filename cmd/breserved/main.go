@@ -1,8 +1,8 @@
 // Command breserved serves a durable BrePartition index over HTTP: exact
 // kNN, probabilistically-guaranteed approximate, and range search plus
-// write-ahead-logged Insert/Delete, behind request coalescing, admission
-// control, Prometheus metrics, and hot snapshot reload (see
-// internal/server and DESIGN.md, "Serving").
+// write-ahead-logged Insert/Delete, behind admission control, Prometheus
+// metrics, and hot snapshot reload (see internal/server and DESIGN.md,
+// "Serving").
 //
 // Usage:
 //
@@ -23,8 +23,8 @@
 // DESIGN.md, "Observability").
 //
 // On SIGINT/SIGTERM the server drains gracefully: in-flight HTTP
-// requests finish, pending coalesced batches dispatch and complete, and
-// the WAL is synced and closed.
+// requests finish, the engines complete their in-flight queries, and the
+// WAL is synced and closed.
 package main
 
 import (
@@ -55,8 +55,6 @@ func main() {
 	syncInterval := flag.Duration("sync-interval", 0, "async fsync interval (with -sync < 0)")
 	workers := flag.Int("workers", 0, "engine query workers (0 = GOMAXPROCS)")
 	cache := flag.Int("cache", 0, "result cache entries (0 = 1024, negative disables)")
-	coalesceBatch := flag.Int("coalesce-batch", 0, "coalescing window size trigger (0 = 16, 1 disables)")
-	coalesceDelay := flag.Duration("coalesce-delay", 0, "coalescing window max delay (0 = 1ms)")
 	maxInFlight := flag.Int("max-inflight", 0, "search admission limit; excess sheds 429 (0 = 4×GOMAXPROCS)")
 	maxMutations := flag.Int("max-mutations", 0, "mutation admission limit (0 = 64)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 2s)")
@@ -109,8 +107,6 @@ func main() {
 	}
 
 	sopts := &brepartition.ServerOptions{
-		CoalesceBatch:     *coalesceBatch,
-		CoalesceDelay:     *coalesceDelay,
 		MaxInFlight:       *maxInFlight,
 		MaxMutations:      *maxMutations,
 		Timeout:           *timeout,

@@ -215,7 +215,7 @@ func main() {
 	recovered.Close()
 
 	// Serving over the network: NewServer puts the durable directory
-	// behind HTTP (request coalescing, admission control, /metrics,
+	// behind HTTP (admission control, per-request deadlines, /metrics,
 	// hot /admin/reload — see cmd/breserved for the daemon) and a Client
 	// talks to it with pooled connections; answers are bit-identical to
 	// the in-process index. WithBinary switches from JSON to the compact

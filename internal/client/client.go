@@ -5,9 +5,9 @@
 // One Client is safe for concurrent use and keeps a pooled transport, so
 // concurrent requests multiplex over warm keep-alive connections instead
 // of paying a dial + handshake each. BatchSearch submits many queries in
-// one request — the server answers them through its batch engine — and
-// single-query Search calls lean on the server-side coalescing window
-// instead of client-side batching.
+// one request, sparing a round trip per query; the server submits every
+// query to its engine as soon as the request is admitted, so a lone
+// Search never waits for batch-mates.
 //
 // Collection() scopes a client to one named collection on a
 // multi-tenant server; the unscoped methods address the "default"

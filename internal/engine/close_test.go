@@ -8,11 +8,15 @@ import (
 	"time"
 
 	"brepartition/internal/core"
+	"brepartition/internal/obs"
 	"brepartition/internal/topk"
 )
 
 // slowBackend serves canned answers, blocking each search until release
 // is closed, so the tests can hold queries in flight deterministically.
+// A traced query first records a shard span, the way the sharded index's
+// gather does, so the backend writes into the trace while its submitter
+// may already have stopped waiting.
 type slowBackend struct {
 	release chan struct{}
 	mu      sync.Mutex
@@ -20,6 +24,7 @@ type slowBackend struct {
 }
 
 func (b *slowBackend) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
+	q.Trace.AddShard(obs.ShardSpan{Items: 1})
 	<-b.release
 	b.mu.Lock()
 	b.calls++
@@ -151,4 +156,40 @@ func TestWaitContextDeadline(t *testing.T) {
 		t.Fatalf("Wait after expired WaitContext: %+v, %v", res, err)
 	}
 	e.Close()
+}
+
+// TestAbandonedTraceStaysLive pins the queued job's trace reference: a
+// traced query whose submitter stopped waiting (WaitContext expired) and
+// dropped its own reference keeps the trace out of the pool until the
+// worker's last write. Without the job's reference the pool hands the
+// trace out again while the backend still records into it, and -race
+// reports the NewTrace reset racing the backend's AddShard. Several
+// rounds, because under -race sync.Pool drops a random share of what is
+// put back.
+func TestAbandonedTraceStaysLive(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		b := &slowBackend{release: make(chan struct{})}
+		e := New(b, Config{Workers: 1, CacheSize: -1})
+		tr := obs.NewTrace(obs.NextID())
+		f := e.SubmitQuery(core.Query{Vec: []float64{1}, K: 1, Trace: tr})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		if _, err := f.WaitContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("WaitContext err = %v, want DeadlineExceeded", err)
+		}
+		cancel()
+		tr.Release() // the submitter's reference; the queued job holds its own
+		// Churn the pool the way concurrent requests would: were the
+		// abandoned trace already pooled, one of these would get it back
+		// and reset it under the running backend.
+		for i := 0; i < 64; i++ {
+			tmp := obs.NewTrace(obs.NextID())
+			tmp.AddSpan(obs.StageRun, time.Microsecond)
+			tmp.Release()
+		}
+		close(b.release)
+		e.Drain()
+		if res, err := f.Wait(); err != nil || res.Stats.Candidates != 1 {
+			t.Fatalf("round %d: abandoned query lost its answer: %+v, %v", round, res, err)
+		}
+	}
 }

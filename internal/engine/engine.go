@@ -211,9 +211,9 @@ func (e *Engine) SubmitQuery(q core.Query) *Future {
 		return f
 	}
 	// The worker writes spans/counters into the trace until it finishes —
-	// possibly after the submitter stopped waiting (deadline, abandoned
-	// coalesce slot) and dropped its own reference. Hold one for the
-	// job's lifetime; the worker releases it after its last write.
+	// possibly after the submitter stopped waiting (its deadline fired)
+	// and dropped its own reference. Hold one for the job's lifetime; the
+	// worker releases it after its last write.
 	q.Trace.Retain()
 	f.q = q
 	e.queue = append(e.queue, f)

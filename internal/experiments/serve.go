@@ -24,11 +24,13 @@ import (
 // at a fixed offered rate regardless of completions, exactly like remote
 // user traffic, and the interesting outputs are the achieved rate, the
 // shed rate (admission control turning overload into fast 429s instead
-// of unbounded queueing), and the latency of the requests that were
-// served. The offered-rate ladder climbs past the box's capacity so the
-// top rows show the load-shed regime; the coalescer's realized batch
-// size shows the micro-batching window doing its amortization work as
-// load grows.
+// of unbounded queueing), the requests that failed outright, and the
+// latency of the requests that were served. The offered-rate ladder
+// climbs past the box's capacity so the top rows show the load-shed
+// regime. The generator keeps at most maxOutstanding requests open; a
+// tick past that bound is counted as not sent instead of opening yet
+// another connection. A failure at or below calibrated capacity panics:
+// there the server must answer every request.
 func (e *Env) Serve(workers int) []Table {
 	name := "audio"
 	ds := e.Dataset(name)
@@ -75,14 +77,20 @@ func (e *Env) Serve(workers int) []Table {
 	tbl := Table{
 		Title: fmt.Sprintf("Open-loop serving — %s (dim=%d, k=%d, workers=%d, binary protocol; ~%.0f QPS closed-loop capacity)",
 			name, dim, k, srv.Engine().Workers(), capacityQPS),
-		Header: []string{"offered QPS", "achieved QPS", "shed rate", "p50", "p99"},
+		Header: []string{"offered QPS", "achieved QPS", "shed rate", "failed", "not sent", "p50", "p99"},
 	}
 	for _, rate := range rates {
 		res := openLoop(cl, queries, k, rate, 700*time.Millisecond)
+		if res.failed > 0 && rate <= capacityQPS {
+			panic(fmt.Sprintf("serve: %d requests failed at %.0f offered QPS, within capacity: %v",
+				res.failed, rate, res.firstErr))
+		}
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.0f", rate),
 			fmt.Sprintf("%.0f", res.achievedQPS),
 			fmt.Sprintf("%.1f%%", 100*res.shedRate),
+			fmt.Sprint(res.failed),
+			fmt.Sprint(res.notSent),
 			res.p50.Round(10 * time.Microsecond).String(),
 			res.p99.Round(10 * time.Microsecond).String(),
 		})
@@ -125,14 +133,20 @@ func calibrate(cl *client.Client, queries [][]float64, k int) float64 {
 }
 
 type openLoopResult struct {
-	achievedQPS float64
-	shedRate    float64
-	p50, p99    time.Duration
+	achievedQPS     float64
+	shedRate        float64
+	failed, notSent int64
+	firstErr        error // the first failure, for the within-capacity panic
+	p50, p99        time.Duration
 }
 
+// maxOutstanding bounds the generator's open requests, each of which
+// holds a loopback connection (two descriptors in this process).
+const maxOutstanding = 256
+
 // openLoop fires requests at the offered rate for dur, never waiting for
-// completions (each request runs on its own goroutine), and reports what
-// the server actually absorbed.
+// completions (each request runs on its own goroutine, up to
+// maxOutstanding at once), and reports what the server actually absorbed.
 func openLoop(cl *client.Client, queries [][]float64, k int, rate float64, dur time.Duration) openLoopResult {
 	interval := time.Duration(float64(time.Second) / rate)
 	if interval <= 0 {
@@ -140,11 +154,12 @@ func openLoop(cl *client.Client, queries [][]float64, k int, rate float64, dur t
 	}
 	var (
 		mu   sync.Mutex
-		lats []time.Duration
-		ok   atomic.Int64
-		shed atomic.Int64
+		res  openLoopResult
+		lats []time.Duration // one per served request
+		shed int64
 		wg   sync.WaitGroup
 	)
+	slots := make(chan struct{}, maxOutstanding)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	deadline := time.NewTimer(dur)
@@ -155,22 +170,32 @@ loop:
 	for {
 		select {
 		case <-ticker.C:
+			select {
+			case slots <- struct{}{}:
+			default:
+				res.notSent++
+				continue
+			}
 			q := queries[i%len(queries)]
 			i++
 			wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer func() { <-slots; wg.Done() }()
 				t0 := time.Now()
 				_, err := cl.Search(context.Background(), q, k)
+				lat := time.Since(t0)
+				mu.Lock()
+				defer mu.Unlock()
 				switch {
 				case err == nil:
-					ok.Add(1)
-					lat := time.Since(t0)
-					mu.Lock()
 					lats = append(lats, lat)
-					mu.Unlock()
 				case errors.Is(err, client.ErrOverloaded):
-					shed.Add(1)
+					shed++
+				default:
+					res.failed++
+					if res.firstErr == nil {
+						res.firstErr = err
+					}
 				}
 			}()
 		case <-deadline.C:
@@ -180,10 +205,9 @@ loop:
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := openLoopResult{achievedQPS: float64(ok.Load()) / wall.Seconds()}
-	total := ok.Load() + shed.Load()
-	if total > 0 {
-		res.shedRate = float64(shed.Load()) / float64(total)
+	res.achievedQPS = float64(len(lats)) / wall.Seconds()
+	if sent := int64(len(lats)) + shed + res.failed; sent > 0 {
+		res.shedRate = float64(shed) / float64(sent)
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })

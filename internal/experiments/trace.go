@@ -24,8 +24,8 @@ import (
 // stage histograms — the same data /metrics exports as
 // breserved_request_duration_seconds. The interesting output is the
 // decomposition: how much of the end-to-end total is admission,
-// coalescing delay, scheduler queueing, and actual search work, and
-// within the run how the scan/refine split behaves.
+// scheduler queueing, and actual search work, and within the run how
+// the scan/refine split behaves.
 func (e *Env) Trace(workers int) []Table {
 	name := "audio"
 	ds := e.Dataset(name)

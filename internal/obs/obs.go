@@ -9,13 +9,12 @@
 // Traces are pooled and reference-counted. The server acquires one per
 // sampled request at admission (NewTrace, one reference), hands it down
 // via context (NewContext/From), and each layer adds what it knows: the
-// server records admission wait, the coalescer its window delay, the
-// engine worker queue wait and run time, the shard fan-out per-shard
-// child spans, and the engine folds the core/coldtier scan counters out
-// of the result stats. Any layer that keeps writing to the trace after
-// its caller may have returned — a queued engine job, a parked
-// coalescer waiter — takes its own reference with Retain and drops it
-// with Release when its last write is done. Release decrements; only
+// server records admission wait, the engine worker queue wait and run
+// time, the shard fan-out per-shard child spans, and the engine folds
+// the core/coldtier scan counters out of the result stats. Any layer
+// that keeps writing to the trace after its caller may have returned —
+// a queued engine job — takes its own reference with Retain and drops
+// it with Release when its last write is done. Release decrements; only
 // the final Release returns the trace to the pool, so an abandoned
 // request (deadline fired, handler gone) cannot have its trace recycled
 // out from under a worker that is still recording into it.
@@ -38,7 +37,8 @@ const (
 	StageTotal Stage = iota
 	// StageAdmission is time spent acquiring quota/admission slots.
 	StageAdmission
-	// StageCoalesce is time parked in the coalescer's batching window.
+	// StageCoalesce records nothing: the server has no batching window.
+	// It stays only because the benchmark ladder still reads it.
 	StageCoalesce
 	// StageQueue is time queued in the engine before a worker picked
 	// the job up.

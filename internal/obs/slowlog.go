@@ -19,8 +19,8 @@ import (
 //	counters.{nodes,leaves,candidates,distance_comps,page_reads,
 //	          cold_scanned,cold_pruned,cold_faults,cold_hits}
 //
-// Every stage key is always present (zero when the stage was not
-// touched) so log consumers can index the schema statically.
+// Every stage key is always present, zero when untouched (coalesce_ms
+// always is), so log consumers can index the schema statically.
 type SlowLog struct {
 	// Threshold is the total-duration cutoff; zero or negative
 	// disables logging.

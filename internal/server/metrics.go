@@ -79,10 +79,10 @@ type metrics struct {
 // new module requirement.
 //
 // Two views are exposed. The process-level series keep their
-// pre-collections names: admission classes, deadlines, reloads, and
-// the sums of per-collection coalescing and maintenance counters; the
-// unlabeled engine and index series continue to describe the "default"
-// collection, so single-index dashboards keep reading unchanged. The
+// pre-collections names: admission classes, deadlines, reloads, and the
+// sums of per-collection maintenance counters; the unlabeled engine and
+// index series continue to describe the "default" collection, so
+// single-index dashboards keep reading unchanged. The
 // per-collection series carry a {collection="name"} label — requests,
 // quota sheds and occupancy, engine QPS and latency percentiles, index
 // and WAL gauges, and per-shard health ratios — so a multi-tenant
@@ -122,14 +122,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf(`breserved_inflight{class="mutation"} %d`, s.mutGate.inUse()),
 		fmt.Sprintf(`breserved_inflight{class="admin"} %d`, s.adminGate.inUse()))
 
-	// Sums across collections: the process-level view of coalescing and
-	// maintenance (identical to the old single-index series when only the
-	// default collection exists).
-	var coBatches, coFolded int64
+	// Sums across collections: the process-level view of maintenance
+	// (identical to the old single-index series when only the default
+	// collection exists).
 	var mSweeps, mCompactions, mErrs uint64
 	for _, tn := range tns {
-		coBatches += tn.co.batches.Load()
-		coFolded += tn.co.folded.Load()
 		ms := tn.mnt.Stats()
 		mSweeps += ms.Sweeps
 		mCompactions += ms.Compactions
@@ -174,11 +171,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("Engine latency reservoir percentiles, in seconds.", "summary", "breserved_engine_latency_seconds",
 		fmt.Sprintf(`breserved_engine_latency_seconds{quantile="0.5"} %g`, st.P50.Seconds()),
 		fmt.Sprintf(`breserved_engine_latency_seconds{quantile="0.99"} %g`, st.P99.Seconds()))
-
-	emit("Micro-batches dispatched by the request coalescers.", "counter",
-		"breserved_coalesce_batches_total", g("breserved_coalesce_batches_total", float64(coBatches)))
-	emit("Single-query requests folded into micro-batches.", "counter",
-		"breserved_coalesce_queries_total", g("breserved_coalesce_queries_total", float64(coFolded)))
 
 	emit("Successful hot snapshot reloads.", "counter",
 		"breserved_reload_total", g("breserved_reload_total", float64(s.m.reloads.Load())))

@@ -265,7 +265,7 @@ func TestFilteredSearchOracle(t *testing.T) {
 // hammers it: the noisy tenant sheds with the quota error code while a
 // quiet tenant's traffic keeps flowing untouched.
 func TestQuotaIsolation(t *testing.T) {
-	f := newMultiFixture(t, Config{MaxInFlight: 64, CoalesceBatch: 1})
+	f := newMultiFixture(t, Config{MaxInFlight: 64})
 	ctx := context.Background()
 	pts := testPoints(80, 4, 31)
 	noisySpec := wire.CollectionSpec{

@@ -5,13 +5,14 @@
 //
 //   - multi-tenant collections: /v2/collections/{name}/... routes address
 //     independent indexes, each with its own divergence, geometry, shard
-//     layout, tag store, engine, coalescing window, maintainer, and
-//     admission quota; /v2/collections CRUD creates and drops them live.
-//     The /v1 routes remain a thin delegation to the "default" collection,
-//     so pre-collections clients keep working bit-identically;
-//   - request coalescing: concurrent single-query search requests fold
-//     into engine.BatchSearch calls per collection (size and max-delay
-//     triggers);
+//     layout, tag store, engine, maintainer, and admission quota;
+//     /v2/collections CRUD creates and drops them live. The /v1 routes
+//     remain a thin delegation to the "default" collection, so
+//     pre-collections clients keep working bit-identically;
+//   - one serving path: every search request, JSON or binary, single or
+//     batch, of any query shape, passes the same admission function and
+//     is submitted to its collection's engine the moment it is admitted —
+//     there is no batching window;
 //   - admission control: global per-class bounded in-flight gates (search,
 //     mutation, admin) shed excess load with 429 + Retry-After, and each
 //     collection may carry its own quota (spec.Quota) shedding with the
@@ -60,14 +61,6 @@ import (
 
 // Config tunes the serving layer. The zero value asks for defaults.
 type Config struct {
-	// CoalesceBatch is the micro-batch size trigger: a coalescing bucket
-	// holding this many queries dispatches immediately (0 = 16, 1
-	// effectively disables coalescing).
-	CoalesceBatch int
-	// CoalesceDelay is the micro-batch time trigger: the oldest query in
-	// a bucket waits at most this long before the bucket dispatches
-	// (0 = 1ms; negative dispatches every query immediately).
-	CoalesceDelay time.Duration
 	// MaxInFlight bounds concurrently admitted search-class requests
 	// (search/approx/range, JSON or binary) across all collections;
 	// excess load is shed with 429 (0 = 4×GOMAXPROCS). It is also the
@@ -85,8 +78,8 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to 429 responses, rounded
 	// up to whole seconds as the header requires (0 = 1s).
 	RetryAfter time.Duration
-	// Engine tunes each collection's query engine (workers, sub-workers,
-	// result-cache size).
+	// Engine tunes each collection's query engine (workers, result-cache
+	// size).
 	Engine engine.Config
 	// MaintainInterval enables each collection's background shard
 	// maintainer: every interval it sweeps per-shard health and compacts
@@ -130,12 +123,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CoalesceBatch == 0 {
-		c.CoalesceBatch = 16
-	}
-	if c.CoalesceDelay == 0 {
-		c.CoalesceDelay = time.Millisecond
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -225,12 +212,11 @@ func (g *quotaGate) release() {
 
 func (g *quotaGate) inUse() int { return len(g.inflight) }
 
-// tenant is one collection's serving pipeline: its engine, coalescing
-// window, maintainer, quota, and counters.
+// tenant is one collection's serving pipeline: its engine, maintainer,
+// quota, and counters.
 type tenant struct {
 	col   *collection.Collection
 	eng   *engine.Engine
-	co    *coalescer
 	mnt   *maintain.Maintainer
 	quota *quotaGate // nil = no per-collection quota
 
@@ -244,7 +230,6 @@ type tenant struct {
 
 func (tn *tenant) close() {
 	tn.mnt.Close()
-	tn.co.close()
 	tn.eng.Close()
 }
 
@@ -367,7 +352,6 @@ func (s *Server) addTenant(c *collection.Collection) *tenant {
 		}
 	}
 	tn := &tenant{col: c, eng: engine.New(c.Handle, s.cfg.Engine), hist: obs.NewStageHists()}
-	tn.co = newCoalescer(tn.eng, s.cfg.CoalesceBatch, s.cfg.CoalesceDelay)
 	tn.mnt = maintain.New(c.Handle, maintain.Config{
 		Interval:     s.cfg.MaintainInterval,
 		MinLiveRatio: s.cfg.MaintainMinLive,
@@ -419,11 +403,11 @@ func (s *Server) Engine() *engine.Engine {
 	return tn.eng
 }
 
-// Close drains every collection's serving pipeline: pending coalescing
-// buckets dispatch and complete, engines stop accepting work and finish
-// in-flight queries. Handles (and their WALs) belong to the caller and
-// are not closed. In-flight HTTP requests should be drained first
-// (http.Server.Shutdown); later submissions fail with 503.
+// Close drains every collection's serving pipeline: engines stop
+// accepting work and finish in-flight queries. Handles (and their WALs)
+// belong to the caller and are not closed. In-flight HTTP requests
+// should be drained first (http.Server.Shutdown); later submissions fail
+// with 503.
 func (s *Server) Close() error {
 	for _, tn := range s.sortedTenants() {
 		tn.close()
@@ -539,24 +523,40 @@ func (s *Server) finishTrace(tn *tenant, op string, tr *obs.Trace, start time.Ti
 	tr.Release()
 }
 
-// dispatch routes one admitted request to its collection's pipeline,
-// passing it through the collection's quota. Search-class requests may
-// pick up a stage trace here — created before the quota wait so
-// StageAdmission covers it, released (after histograms and the
-// slow-query log) when the handler returns.
+// dispatch routes one gate-admitted JSON request to its collection's
+// pipeline through admit; a traced request echoes its id in X-Trace-Id.
 func (s *Server) dispatch(name, op string, h func(tn *tenant, w http.ResponseWriter, r *http.Request), w http.ResponseWriter, r *http.Request) {
 	tn, err := s.tenant(name)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	fail := func(err error) { s.writeError(w, err) }
+	s.admit(tn, op, headerTraceID(r), r, fail, func(r *http.Request) {
+		if tr := obs.From(r.Context()); tr != nil {
+			w.Header().Set("X-Trace-Id", fmt.Sprintf("%016x", tr.ID()))
+		}
+		h(tn, w, r)
+	})
+}
+
+// admit is the one admission path of every collection-routed request,
+// JSON or binary. It counts the request against its collection, passes
+// it through the collection's quota under the request deadline, and
+// calls serve; a quota failure goes to fail, which answers in the
+// request's own protocol. A search-class request may pick up a stage
+// trace here (forced is a client-sent trace id) — created before the
+// quota wait so StageAdmission covers it, carried to serve in the
+// request context, and released (after histograms and the slow-query
+// log) when serve returns.
+func (s *Server) admit(tn *tenant, op string, forced uint64, r *http.Request, fail func(error), serve func(r *http.Request)) {
 	tn.requests.Add(1)
 	var tr *obs.Trace
 	var start time.Time
 	shed := false
 	if searchClass(op) {
 		start = time.Now()
-		tr = s.startTrace(headerTraceID(r))
+		tr = s.startTrace(forced)
 		defer func() { s.finishTrace(tn, op, tr, start, shed) }()
 	}
 	if tn.quota != nil {
@@ -565,17 +565,16 @@ func (s *Server) dispatch(name, op string, h func(tn *tenant, w http.ResponseWri
 			if errors.Is(err, wire.ErrQuota) {
 				tn.quotaShed.Add(1)
 			}
-			s.writeError(w, err)
+			fail(err)
 			return
 		}
 		defer tn.quota.release()
 	}
 	if tr != nil {
 		tr.AddSpan(obs.StageAdmission, time.Since(start))
-		w.Header().Set("X-Trace-Id", fmt.Sprintf("%016x", tr.ID()))
 		r = r.WithContext(obs.NewContext(r.Context(), tr))
 	}
-	h(tn, w, r)
+	serve(r)
 }
 
 // deadline derives the per-request context: X-Timeout-Ms overrides the
@@ -689,7 +688,7 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 	if !readJSON(w, r, &req) {
 		return
 	}
-	queries, single, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
@@ -703,7 +702,7 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 			return
 		}
 	}
-	results, err := s.queryMany(tn, r, queries, proto, single && req.Filter == nil)
+	results, err := s.queryMany(tn, r, queries, proto)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -712,23 +711,21 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 }
 
 // normalizeQueries folds the single-vs-batch JSON shape into one query
-// list and validates geometry up front, so nothing invalid enters the
-// coalescer.
-func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float64, bool, bool) {
+// list of bounded length.
+func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float64, bool) {
 	if (req.Q == nil) == (req.Queries == nil) {
 		badRequest(w, `exactly one of "q" and "queries" must be set`)
-		return nil, false, false
+		return nil, false
 	}
 	queries := req.Queries
-	single := false
 	if req.Q != nil {
-		queries, single = [][]float64{req.Q}, true
+		queries = [][]float64{req.Q}
 	}
 	if len(queries) == 0 || len(queries) > wire.MaxBatch {
 		badRequest(w, fmt.Sprintf("need between 1 and %d queries, got %d", wire.MaxBatch, len(queries)))
-		return nil, false, false
+		return nil, false
 	}
-	return queries, single, true
+	return queries, true
 }
 
 // finite rejects NaN and ±Inf coordinates at the trust boundary: no
@@ -746,14 +743,11 @@ func finite(vecs ...[]float64) error {
 }
 
 // queryMany answers every query in the shape of proto (its Vec is filled
-// in per query). Everything is validated before anything is scheduled, so
-// a coalesced batch cannot fail on one bad member. With coalesce — a lone
-// exact unfiltered query — the query goes through the collection's
-// coalescing window; batches (the client already batched them) and every
-// other shape go straight to its engine: the coalescer, like the
-// version-keyed result cache, knows nothing about predicates, guarantees
-// or radii.
-func (s *Server) queryMany(tn *tenant, r *http.Request, queries [][]float64, proto core.Query, coalesce bool) ([]wire.Result, error) {
+// in per query). It is the one place a search request of either protocol
+// reaches its collection's engine. Everything is validated before
+// anything is scheduled, so a bad member fails the whole request without
+// wasting work on the rest.
+func (s *Server) queryMany(tn *tenant, r *http.Request, queries [][]float64, proto core.Query) ([]wire.Result, error) {
 	if err := finite(queries...); err != nil {
 		return nil, err
 	}
@@ -767,26 +761,13 @@ func (s *Server) queryMany(tn *tenant, r *http.Request, queries [][]float64, pro
 			return nil, err
 		}
 	}
-	tr := obs.From(r.Context())
-	tr.SetQuery(proto.K, len(queries))
-	if coalesce {
-		res, err := tn.co.search(r.Context(), queries[0], proto.K)
-		if err != nil {
-			return nil, err
-		}
-		return []wire.Result{toWire(res)}, nil
-	}
-	proto.Trace = tr
+	proto.Trace = obs.From(r.Context())
+	proto.Trace.SetQuery(proto.K, len(queries))
 	futs := make([]*engine.Future, len(queries))
 	for i, q := range queries {
 		proto.Vec = q
 		futs[i] = tn.eng.SubmitQuery(proto)
 	}
-	return await(r, futs)
-}
-
-// await resolves engine futures under the request deadline.
-func await(r *http.Request, futs []*engine.Future) ([]wire.Result, error) {
 	out := make([]wire.Result, len(futs))
 	for i, f := range futs {
 		res, err := f.WaitContext(r.Context())
@@ -815,11 +796,11 @@ func (s *Server) handleApprox(tn *tenant, w http.ResponseWriter, r *http.Request
 		s.writeError(w, fmt.Errorf("%w: approx search does not support filters", wire.ErrBadFilter))
 		return
 	}
-	queries, _, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
-	results, err := s.queryMany(tn, r, queries, core.Query{K: req.K, Approx: true, P: req.P}, false)
+	results, err := s.queryMany(tn, r, queries, core.Query{K: req.K, Approx: true, P: req.P})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -836,11 +817,11 @@ func (s *Server) handleRange(tn *tenant, w http.ResponseWriter, r *http.Request)
 		s.writeError(w, fmt.Errorf("%w: range search does not support filters", wire.ErrBadFilter))
 		return
 	}
-	queries, _, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
-	results, err := s.queryMany(tn, r, queries, core.Query{Range: true, Radius: req.R}, false)
+	results, err := s.queryMany(tn, r, queries, core.Query{Range: true, Radius: req.R})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -905,12 +886,12 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.inc("frame")
 	req, err := wire.ReadRequest(io.LimitReader(r.Body, wire.MaxFrame+4))
 	if err != nil {
-		s.writeFrameError(w, 0, http.StatusBadRequest, wire.CodeBadRequest, err)
+		writeErrorFrame(w, 0, http.StatusBadRequest, wire.CodeBadRequest, err)
 		return
 	}
 	tn, err := s.tenant(req.Collection)
 	if err != nil {
-		s.writeFrameError(w, req.Op, http.StatusNotFound, wire.CodeNoSuchCollection, err)
+		s.writeFrameError(w, req.Op, err)
 		return
 	}
 	g := s.searchGate
@@ -919,58 +900,34 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	if !g.tryAcquire() {
 		w.Header().Set("Retry-After", s.retryAfterSecs())
-		s.writeFrameError(w, req.Op, http.StatusTooManyRequests, wire.CodeOverloaded,
+		writeErrorFrame(w, req.Op, http.StatusTooManyRequests, wire.CodeOverloaded,
 			errors.New("overloaded: in-flight limit reached, retry later"))
 		return
 	}
 	defer g.release()
 	ctx, cancel := s.deadline(r)
 	defer cancel()
-	r = r.WithContext(ctx)
+	fail := func(err error) { s.writeFrameError(w, req.Op, err) }
+	s.admit(tn, frameOp(req.Op), req.TraceID, r.WithContext(ctx), fail, func(r *http.Request) {
+		s.serveFrame(tn, w, r, req)
+	})
+}
 
-	tn.requests.Add(1)
-	op := frameOp(req.Op)
-	var tr *obs.Trace
-	var start time.Time
-	shed := false
-	if searchClass(op) {
-		start = time.Now()
-		tr = s.startTrace(req.TraceID)
-		defer func() { s.finishTrace(tn, op, tr, start, shed) }()
-	}
-	if tn.quota != nil {
-		if err := tn.quota.acquire(ctx); err != nil {
-			shed = true
-			status, code := s.classify(err)
-			if errors.Is(err, wire.ErrQuota) {
-				tn.quotaShed.Add(1)
-				w.Header().Set("Retry-After", s.retryAfterSecs())
-			}
-			s.writeFrameError(w, req.Op, status, code, err)
-			return
-		}
-		defer tn.quota.release()
-	}
-	if tr != nil {
-		tr.AddSpan(obs.StageAdmission, time.Since(start))
-		r = r.WithContext(obs.NewContext(r.Context(), tr))
-	}
-
+// serveFrame runs one admitted binary request and writes its response
+// frame.
+func (s *Server) serveFrame(tn *tenant, w http.ResponseWriter, r *http.Request, req wire.Request) {
 	// Echo only the id the client sent: a sampler- or slow-log-initiated
 	// trace stays server-internal, so trace-unaware v2 clients never see
 	// the v3 flags bit on their responses.
 	resp := wire.Response{Op: req.Op, TraceID: req.TraceID}
-	var results []wire.Result
+	var err error
 	switch req.Op {
 	case wire.OpSearch:
-		results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K}, len(req.Queries) == 1)
-		resp.Results = results
+		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K})
 	case wire.OpApprox:
-		results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K, Approx: true, P: req.Param}, false)
-		resp.Results = results
+		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K, Approx: true, P: req.Param})
 	case wire.OpRange:
-		results, err = s.queryMany(tn, r, req.Queries, core.Query{Range: true, Radius: req.Param}, false)
-		resp.Results = results
+		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{Range: true, Radius: req.Param})
 	case wire.OpInsert:
 		var id int
 		id, err = s.insertOne(tn, req.Queries[0])
@@ -983,13 +940,12 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		status, code := s.classify(err)
-		s.writeFrameError(w, req.Op, status, code, err)
+		s.writeFrameError(w, req.Op, err)
 		return
 	}
 	frame, err := wire.AppendResponse(nil, resp)
 	if err != nil {
-		s.writeFrameError(w, req.Op, http.StatusInternalServerError, wire.CodeGeneric, err)
+		writeErrorFrame(w, req.Op, http.StatusInternalServerError, wire.CodeGeneric, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -997,10 +953,21 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	w.Write(frame)
 }
 
-// writeFrameError answers a binary request with an error frame carrying
+// writeFrameError answers a failed binary request the way writeError
+// answers a JSON one: classified status and code, and the Retry-After
+// hint on a 429.
+func (s *Server) writeFrameError(w http.ResponseWriter, op wire.Op, err error) {
+	status, code := s.classify(err)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", s.retryAfterSecs())
+	}
+	writeErrorFrame(w, op, status, code, err)
+}
+
+// writeErrorFrame answers a binary request with an error frame carrying
 // the machine-readable code; the HTTP status is set too so the
 // shed/deadline contracts hold across both protocols.
-func (s *Server) writeFrameError(w http.ResponseWriter, op wire.Op, status int, code wire.ErrCode, err error) {
+func writeErrorFrame(w http.ResponseWriter, op wire.Op, status int, code wire.ErrCode, err error) {
 	frame, ferr := wire.AppendResponse(nil, wire.Response{Op: op, Err: err.Error(), Code: code})
 	if ferr != nil {
 		writeJSON(w, http.StatusInternalServerError, wire.ErrorResponse{Error: ferr.Error()})

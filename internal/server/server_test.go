@@ -344,38 +344,23 @@ func TestServerRejectsBadInput(t *testing.T) {
 // Retry-After instead of queueing, and /metrics reflects the shed and
 // the queue depth.
 func TestServerShedsUnderOverload(t *testing.T) {
-	s := newTestServer(t, 150, Config{
-		MaxInFlight:   2,
-		CoalesceBatch: 64,                     // size trigger unreachable
-		CoalesceDelay: 300 * time.Millisecond, // park admitted requests in the window
-		RetryAfter:    2 * time.Second,
-	})
+	s := newTestServer(t, 150, Config{MaxInFlight: 2, RetryAfter: 2 * time.Second})
 	q := testPoints(1, 10, 3)[0]
-
-	// Two requests occupy both in-flight slots inside the coalescing
-	// window.
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-release
-			resp, body := s.postJSON(t, "/v1/search", wire.SearchRequest{Q: q, K: 3})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("parked request failed: %d %s", resp.StatusCode, body)
-			}
-		}()
-	}
-	close(release)
-
-	// Wait until both are admitted (poll the gate, not sleep).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.srv.searchGate.inUse() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("gate never saturated: inUse=%d", s.srv.searchGate.inUse())
+	metricsText := func() string {
+		t.Helper()
+		mresp, err := http.Get(s.ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		mbody, _ := io.ReadAll(mresp.Body)
+		mresp.Body.Close()
+		return string(mbody)
+	}
+
+	// Hold both in-flight slots, as two admitted requests would.
+	sem := s.srv.searchGate.sem
+	for len(sem) < cap(sem) {
+		sem <- struct{}{}
 	}
 
 	// The third request must shed, not queue.
@@ -388,53 +373,42 @@ func TestServerShedsUnderOverload(t *testing.T) {
 	}
 
 	// Metrics reflect the shed and the in-flight saturation while the
-	// two requests are still parked.
-	mresp, err := http.Get(s.ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	metricsText := string(mbody)
+	// slots are held.
+	text := metricsText()
 	for _, want := range []string{
 		`breserved_shed_total{class="search"} 1`,
 		`breserved_inflight{class="search"} 2`,
 	} {
-		if !strings.Contains(metricsText, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metricsText)
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
 	}
 
-	wg.Wait()
-
-	// After the window flushes, both parked requests were answered by ONE
-	// coalesced batch.
-	mresp, err = http.Get(s.ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// Once the slots free up, requests are admitted again.
+	for len(sem) > 0 {
+		<-sem
 	}
-	mbody, _ = io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	metricsText = string(mbody)
-	for _, want := range []string{
-		"breserved_coalesce_batches_total 1",
-		"breserved_coalesce_queries_total 2",
-		`breserved_inflight{class="search"} 0`,
-	} {
-		if !strings.Contains(metricsText, want) {
-			t.Fatalf("post-flush metrics missing %q:\n%s", want, metricsText)
-		}
+	if resp, body := s.postJSON(t, "/v1/search", wire.SearchRequest{Q: q, K: 3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-release search failed: %d %s", resp.StatusCode, body)
+	}
+	if text := metricsText(); !strings.Contains(text, `breserved_inflight{class="search"} 0`) {
+		t.Fatalf("post-release metrics missing idle gate:\n%s", text)
 	}
 }
 
 // TestServerDeadline pins the per-request deadline: a request whose
-// X-Timeout-Ms expires inside the coalescing window gets 504 and the
-// deadline counter moves.
+// X-Timeout-Ms expires while it waits for a full collection quota gets
+// 504 and the deadline counter moves.
 func TestServerDeadline(t *testing.T) {
-	s := newTestServer(t, 100, Config{
-		CoalesceBatch: 64,
-		CoalesceDelay: 250 * time.Millisecond,
-	})
+	s := newTestServer(t, 100, Config{})
+	tn, err := s.srv.tenant(wire.DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One in-flight slot, held: the request queues behind it and waits
+	// under its deadline.
+	tn.quota = newQuotaGate(wire.Quota{MaxInflight: 1}, 1)
+	tn.quota.inflight <- struct{}{}
 	q := testPoints(1, 10, 3)[0]
 	raw, _ := json.Marshal(wire.SearchRequest{Q: q, K: 3})
 	req, err := http.NewRequest("POST", s.ts.URL+"/v1/search", bytes.NewReader(raw))

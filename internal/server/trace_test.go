@@ -150,6 +150,30 @@ func TestTraceStageIdentityAndSlowLog(t *testing.T) {
 			t.Fatalf("line %d: stages cover too little: total %.3fms, stages %.3fms", i, l.TotalMS, seq)
 		}
 	}
+
+	// A lone search goes straight to the engine over either protocol, so
+	// no traced request ever waits in a batching window.
+	frame, err := wire.AppendRequest(nil, wire.Request{Op: wire.OpSearch, K: k, Queries: queries[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(s.ts.URL+"/v1/frame", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, hr); hr.StatusCode != http.StatusOK {
+		t.Fatalf("frame search status %d: %q", hr.StatusCode, body)
+	}
+	budget, err := s.srv.StageBudget(wire.DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := budget["total"].Count; got != int64(len(queries)+1) {
+		t.Fatalf("stage budget observed %d requests, want %d", got, len(queries)+1)
+	}
+	if _, ok := budget[obs.StageCoalesce.String()]; ok {
+		t.Fatalf("a lone search recorded a coalesce span: %+v", budget[obs.StageCoalesce.String()])
+	}
 }
 
 // TestTraceCountersMatchRecount pins the scan counters against a
@@ -358,7 +382,6 @@ func TestQuotaShedSkipsLatencyObservation(t *testing.T) {
 	var buf bytes.Buffer
 	f := newMultiFixture(t, Config{
 		MaxInFlight:        64,
-		CoalesceBatch:      1,
 		TraceSample:        1,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       slog.New(slog.NewJSONHandler(&buf, nil)),

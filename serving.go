@@ -16,10 +16,11 @@ import (
 // Network serving layer: breserved server + client (see cmd/breserved).
 // ---------------------------------------------------------------------------
 
-// ServerOptions tunes the serving layer: the request-coalescing window
-// (CoalesceBatch/CoalesceDelay), admission control (MaxInFlight,
-// MaxMutations, Timeout, RetryAfter), the per-collection query engines,
-// and background maintenance. Prefer the ServeOption helpers; the
+// ServerOptions tunes the serving layer: admission control
+// (MaxInFlight, MaxMutations, Timeout, RetryAfter), the per-collection
+// query engines, background maintenance, the cold tier, and tracing.
+// Every search request goes to its collection's engine as soon as it is
+// admitted; there is no batching window to tune. Prefer the ServeOption helpers; the
 // struct remains for bulk configuration via WithServerConfig.
 type ServerOptions = server.Config
 
@@ -47,13 +48,6 @@ func WithServerConfig(o ServerOptions) ServeOption {
 	return func(c *serveConfig) { c.server = o }
 }
 
-// WithCoalescing tunes the request-coalescing window: concurrent
-// single-query searches fold into engine batches of up to batch
-// queries, waiting at most delay.
-func WithCoalescing(batch int, delay time.Duration) ServeOption {
-	return func(c *serveConfig) { c.server.CoalesceBatch, c.server.CoalesceDelay = batch, delay }
-}
-
 // WithAdmission bounds concurrently admitted requests per class; excess
 // search or mutation load is shed with 429 + Retry-After.
 func WithAdmission(maxInFlight, maxMutations int) ServeOption {
@@ -67,7 +61,7 @@ func WithRequestTimeout(def, max time.Duration) ServeOption {
 }
 
 // WithEngineConfig tunes each collection's query engine (workers,
-// per-query parallelism, result-cache size).
+// result-cache size).
 func WithEngineConfig(o EngineOptions) ServeOption {
 	return func(c *serveConfig) { c.server.Engine = o }
 }
@@ -260,8 +254,8 @@ func (s *Server) Divergence() Divergence {
 // reload metric too).
 func (s *Server) Reload() error { return s.cols.inner.Reload() }
 
-// Close drains the serving pipeline (pending coalesced batches and
-// in-flight engine queries complete), then closes the registry's WALs.
+// Close drains the serving pipeline (in-flight engine queries
+// complete), then closes the registry's WALs.
 // Drain in-flight HTTP requests first (http.Server.Shutdown).
 func (s *Server) Close() error { return s.cols.Close() }
 
