@@ -73,15 +73,15 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func() error = dx.DetachColdTier
 
 	// All three index kinds are Engine backends, and a Backend is exactly
-	// the one query method plus the mutation counter.
+	// the one query method: with no result cache the engine needs no
+	// mutation counter.
 	var _ interface {
 		Query([]topk.Item, *brepartition.Query) (brepartition.Result, error)
-		Version() uint64
 	} = brepartition.Backend(nil)
 	var _ brepartition.Backend = interface {
 		Query([]topk.Item, *brepartition.Query) (brepartition.Result, error)
-		Version() uint64
 	}(nil)
+	// CacheSize is deprecated and ignored, but still compiles.
 	var _ brepartition.EngineOptions = struct{ Workers, CacheSize int }{}
 	var _ brepartition.Backend = idx
 	var _ brepartition.Backend = sx

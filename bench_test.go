@@ -369,7 +369,7 @@ func benchTracedEngine(b *testing.B) (*engine.Engine, [][]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := engine.New(idx, engine.Config{Workers: 1, CacheSize: -1})
+	eng := engine.New(idx, engine.Config{Workers: 1})
 	b.Cleanup(func() { eng.Close() })
 	return eng, dataset.SampleQueries(ds, 16, 3)
 }

@@ -18,12 +18,12 @@
 //	}
 //
 // For query-heavy service workloads, wrap the index in an Engine: it runs
-// many queries concurrently over a bounded worker pool, shares an LRU
-// result cache across them, and aggregates QPS / latency statistics:
+// many queries concurrently over a bounded worker pool and aggregates
+// QPS / latency statistics:
 //
 //	eng := brepartition.NewEngine(idx, nil)
 //	results, err := eng.BatchSearch(queries, 10)
-//	st := eng.Stats() // QPS, p50/p99 latency, page reads, cache hits
+//	st := eng.Stats() // QPS, p50/p99 latency, page reads
 //
 // All Index and Engine methods are safe for concurrent use; Insert and
 // Delete take the index's exclusive lock, so searches never observe a torn
@@ -191,8 +191,7 @@ func (ix *Index) Delete(id int) bool { return ix.inner.Delete(id) }
 func (ix *Index) Live() int { return ix.inner.Live() }
 
 // Version counts the mutations (Insert/Delete) applied so far. Two reads
-// bracketed by equal Version values saw the same index state; the engine's
-// result cache keys on it for invalidation.
+// bracketed by equal Version values saw the same index state.
 func (ix *Index) Version() uint64 { return ix.inner.Version() }
 
 // WriteFile persists the built index (partitioning, tuples, BB-forest) so
@@ -242,13 +241,12 @@ func (ix *Index) DetachColdTier() error { return ix.inner.CloseColdTier() }
 // ---------------------------------------------------------------------------
 
 // ShardedIndex hash-partitions points across several independent core
-// indexes and answers queries scatter-gather: every query fans out to all
-// shards through per-shard worker pools and the per-shard top-k heaps are
-// merged into the global top-k. Results are bit-for-bit identical to a
-// single Index over the same points — same ids, same distances — while
-// mutations lock only the id map and the one shard that owns the point
-// (never another shard), and batch throughput scales with the shard
-// engines' combined worker pools.
+// indexes and answers queries scatter-gather: every query runs all its
+// shards concurrently itself — there are no per-shard queues — and the
+// per-shard top-k heaps are merged into the global top-k. Results are
+// bit-for-bit identical to a single Index over the same points — same
+// ids, same distances — while mutations lock only the id map and the one
+// shard that owns the point (never another shard).
 //
 // A ShardedIndex is safe for concurrent use. Each mutation is atomic, but
 // a query fanned across shards is not a global snapshot: two mutations to
@@ -305,11 +303,11 @@ func (sx *ShardedIndex) SearchApprox(q []float64, k int, p float64) (Result, err
 	return sx.inner.Query(nil, &Query{Vec: q, K: k, Approx: true, P: p})
 }
 
-// BatchSearch answers all queries, scatter-gathering each across every
-// shard concurrently. Results arrive in query order and match a
-// sequential Search loop.
+// BatchSearch answers all queries, up to GOMAXPROCS at a time, each
+// running its shards concurrently. Results arrive in query order and
+// match a sequential Search loop.
 func (sx *ShardedIndex) BatchSearch(queries [][]float64, k int) ([]Result, error) {
-	return batchSearch(sx.inner, queries, k, len(queries))
+	return batchSearch(sx.inner, queries, k, 0)
 }
 
 // RangeSearch returns every point with D_f(x, q) ≤ r across all shards,
@@ -350,8 +348,7 @@ func (sx *ShardedIndex) M() int { return sx.inner.M() }
 // Live returns the number of non-deleted points.
 func (sx *ShardedIndex) Live() int { return sx.inner.Live() }
 
-// Version counts the mutations applied so far (the Engine's result cache
-// keys on it, exactly as with Index).
+// Version counts the mutations applied so far, exactly as with Index.
 func (sx *ShardedIndex) Version() uint64 { return sx.inner.Version() }
 
 // AttachColdTier builds (or reopens) one cold tier per shard under dir.
@@ -380,7 +377,7 @@ func (sx *ShardedIndex) DetachColdTier() error { return sx.inner.CloseColdTier()
 // ---------------------------------------------------------------------------
 
 // DurableOptions configures a durable index: the sharded-index knobs
-// (Shards, Workers, Core) plus the durability policy — SyncEvery/
+// (Shards, Dim, Core) plus the durability policy — SyncEvery/
 // SyncInterval set how mutations are fsynced (0/1 = every mutation, group-
 // committed across concurrent mutators; N > 1 = every N mutations;
 // negative = only on Sync/Close or the interval), SegmentSize sets the WAL
@@ -452,9 +449,10 @@ func (dx *DurableIndex) SearchApprox(q []float64, k int, p float64) (Result, err
 	return dx.inner.Query(nil, &Query{Vec: q, K: k, Approx: true, P: p})
 }
 
-// BatchSearch answers all queries in query order.
+// BatchSearch answers all queries in query order, up to GOMAXPROCS at a
+// time.
 func (dx *DurableIndex) BatchSearch(queries [][]float64, k int) ([]Result, error) {
-	return batchSearch(dx.inner, queries, k, len(queries))
+	return batchSearch(dx.inner, queries, k, 0)
 }
 
 // RangeSearch returns every point with D_f(x, q) ≤ r across all shards.
@@ -513,8 +511,8 @@ func (dx *DurableIndex) Shards() int { return dx.inner.Shards() }
 // ShardSizes returns how many ids each shard owns.
 func (dx *DurableIndex) ShardSizes() []int { return dx.inner.ShardSizes() }
 
-// Version counts the mutations applied so far (the Engine's result cache
-// keys on it).
+// Version counts the mutations applied so far; it is continuous across
+// recovery.
 func (dx *DurableIndex) Version() uint64 { return dx.inner.Version() }
 
 // AttachColdTier builds (or reopens) one cold tier per shard under the
@@ -544,41 +542,36 @@ func (dx *DurableIndex) DetachColdTier() error { return dx.inner.CloseColdTier()
 // ---------------------------------------------------------------------------
 
 // EngineOptions tunes a query engine: Workers bounds concurrently executing
-// queries (0 = GOMAXPROCS) and CacheSize sets the shared LRU result cache
-// capacity in entries (0 = 1024, negative disables caching).
+// queries (0 = GOMAXPROCS). CacheSize is deprecated and ignored: the
+// engine caches no results.
 type EngineOptions = engine.Config
 
 // EngineStats is the aggregate service view of an engine: completed query
-// count, cache hits, summed page reads and candidates, wall time, QPS, and
-// p50/p99 latency.
+// count, summed page reads and candidates, wall time, QPS, and p50/p99
+// latency. CacheHits is deprecated and always 0.
 type EngineStats = engine.Stats
 
 // Future is a handle to one in-flight query submitted to an Engine.
 type Future = engine.Future
 
-// Backend is any index an Engine can schedule over: Query plus Version.
-// *Index, *ShardedIndex and *DurableIndex implement it; custom backends
-// only need the two methods to be safe for concurrent use, with Version
-// changing on every mutation (the result-cache invalidation invariant).
+// Backend is any index an Engine can schedule over: one Query method.
+// *Index, *ShardedIndex and *DurableIndex implement it; a custom backend
+// only needs Query to be safe for concurrent use.
 type Backend = engine.Backend
 
 // Engine is a concurrent batch query layer over one backend — a single
 // Index or a ShardedIndex: a bounded pool of query workers, submit/await
-// semantics, a shared LRU result cache, and aggregate statistics. It is
-// safe for concurrent use, including against an index that is being
-// mutated with Insert/Delete from other goroutines; each query sees one
-// consistent index snapshot, and cached results are invalidated by
-// mutations (they are keyed on the backend's Version).
-//
-// Results handed out by an Engine may be shared with other callers of the
-// same engine (cache hits); treat them as read-only.
+// semantics, and aggregate statistics. Every query is searched; nothing
+// is cached. It is safe for concurrent use, including against an index
+// that is being mutated with Insert/Delete from other goroutines; each
+// query sees one consistent index snapshot.
 type Engine struct {
 	inner *engine.Engine
 }
 
 // NewEngine creates a query engine over any backend — an *Index, a
 // *ShardedIndex, or a custom Backend. opts may be nil for defaults
-// (GOMAXPROCS workers, 1024-entry cache).
+// (GOMAXPROCS workers).
 func NewEngine(b Backend, opts *EngineOptions) *Engine {
 	var o EngineOptions
 	if opts != nil {
@@ -600,8 +593,8 @@ func (e *Engine) BatchSearch(queries [][]float64, k int) ([]Result, error) {
 func (e *Engine) Submit(q []float64, k int) *Future { return e.inner.Submit(q, k) }
 
 // Insert routes a point insertion through the engine to its backend (an
-// *Index, *ShardedIndex, or *DurableIndex). Cached results invalidate
-// automatically; the mutation is counted in Stats.
+// *Index, *ShardedIndex, or *DurableIndex); the mutation is counted in
+// Stats.
 func (e *Engine) Insert(p []float64) (int, error) { return e.inner.Insert(p) }
 
 // Delete routes a tombstone through the engine, reporting whether the id
@@ -609,8 +602,7 @@ func (e *Engine) Insert(p []float64) (int, error) { return e.inner.Insert(p) }
 func (e *Engine) Delete(id int) (bool, error) { return e.inner.Delete(id) }
 
 // SubmitApprox enqueues one approximate query (probability guarantee
-// p ∈ (0,1]) and returns its Future; approx results bypass the result
-// cache.
+// p ∈ (0,1]) and returns its Future.
 func (e *Engine) SubmitApprox(q []float64, k int, p float64) *Future {
 	return e.inner.SubmitQuery(Query{Vec: q, K: k, Approx: true, P: p})
 }
@@ -640,19 +632,17 @@ func (e *Engine) Drain() { e.inner.Drain() }
 func (e *Engine) Close() error { return e.inner.Close() }
 
 // BatchSearch is a convenience one-shot batch: it answers all queries with
-// k neighbours each using workers concurrent queries (0 = GOMAXPROCS) and
-// no result cache. For sustained traffic keep a NewEngine instead, so the
-// cache and statistics persist across batches.
+// k neighbours each using workers concurrent queries (0 = GOMAXPROCS).
+// For sustained traffic keep a NewEngine instead, so its statistics
+// persist across batches.
 func (ix *Index) BatchSearch(queries [][]float64, k, workers int) ([]Result, error) {
 	return batchSearch(ix.inner, queries, k, workers)
 }
 
 // batchSearch is the one-shot batch behind every index kind's BatchSearch:
-// a cacheless engine submits every query, then gathers them in order. The
-// sharded kinds ask for one worker per query: their per-shard worker pools
-// bound the work, and the outer engine only has to keep all of them fed.
+// an engine submits every query, then gathers them in order.
 func batchSearch(b Backend, queries [][]float64, k, workers int) ([]Result, error) {
-	return engine.New(b, engine.Config{Workers: workers, CacheSize: -1}).BatchSearch(queries, k)
+	return engine.New(b, engine.Config{Workers: workers}).BatchSearch(queries, k)
 }
 
 // BruteForce computes the exact kNN by linear scan — the ground truth used

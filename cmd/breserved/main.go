@@ -54,7 +54,6 @@ func main() {
 	syncEvery := flag.Int("sync", 0, "fsync policy: 0/1 every mutation (group commit), N>1 every N, negative async")
 	syncInterval := flag.Duration("sync-interval", 0, "async fsync interval (with -sync < 0)")
 	workers := flag.Int("workers", 0, "engine query workers (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", 0, "result cache entries (0 = 1024, negative disables)")
 	maxInFlight := flag.Int("max-inflight", 0, "search admission limit; excess sheds 429 (0 = 4×GOMAXPROCS)")
 	maxMutations := flag.Int("max-mutations", 0, "mutation admission limit (0 = 64)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 2s)")
@@ -116,7 +115,6 @@ func main() {
 		MaintainMinPoints: *maintainMinPoints,
 	}
 	sopts.Engine.Workers = *workers
-	sopts.Engine.CacheSize = *cache
 	sopts.TraceSample = *traceSample
 	sopts.SlowQueryThreshold = time.Duration(*slowQueryMS) * time.Millisecond
 

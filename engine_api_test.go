@@ -132,10 +132,10 @@ func TestEngineSubmitRangeAndApprox(t *testing.T) {
 }
 
 // TestEngineLifecycle exercises the persistent engine surface: submit /
-// await, batch, cache reuse, version-based invalidation, and statistics.
+// await, batch, statistics, and a mutation showing in the next answer.
 func TestEngineLifecycle(t *testing.T) {
 	idx, queries := apiTestIndex(t)
-	eng := brepartition.NewEngine(idx, &brepartition.EngineOptions{Workers: 4, CacheSize: 128})
+	eng := brepartition.NewEngine(idx, &brepartition.EngineOptions{Workers: 4})
 
 	fut := eng.Submit(queries[0], 5)
 	res, err := fut.Wait()
@@ -149,11 +149,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if _, err := eng.BatchSearch(queries, 5); err != nil {
 		t.Fatal(err)
 	}
-	// queries[0] was already answered: the batch must have hit the cache.
 	st := eng.Stats()
-	if st.CacheHits < 1 {
-		t.Fatalf("CacheHits = %d, want ≥ 1", st.CacheHits)
-	}
 	if st.Queries != int64(1+len(queries)) {
 		t.Fatalf("Queries = %d, want %d", st.Queries, 1+len(queries))
 	}
@@ -161,7 +157,7 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 
-	// Mutations invalidate cached answers via the version counter.
+	// A mutation advances Version and shows in the next answer.
 	v0 := idx.Version()
 	id, err := idx.Insert(queries[0])
 	if err != nil {

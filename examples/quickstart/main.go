@@ -79,8 +79,8 @@ func main() {
 	fmt.Printf("zero-alloc loop answered, last top hit row=%d\n", hot.Items[0].ID)
 
 	// Batch mode: for query-heavy workloads, an Engine answers many
-	// queries concurrently (bounded worker pool + shared result cache)
-	// and aggregates service statistics. Results are identical to calling
+	// queries concurrently (a bounded worker pool) and aggregates
+	// service statistics. Results are identical to calling
 	// Search in a loop.
 	batch := make([][]float64, 64)
 	for i := range batch {
@@ -102,7 +102,7 @@ func main() {
 		len(batch), eng.Workers(), st.QPS, st.P50, st.P99, st.PageReads)
 
 	// The engine stays useful under mutation: Insert/Delete are safe while
-	// searches run, and the result cache invalidates itself.
+	// searches run, and the next search sees them.
 	if _, err := idx.Insert(points[0]); err != nil {
 		log.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func main() {
 	dx.Close()
 
 	// An Engine drives the durable backend too, routing reads and writes
-	// through one handle (mutations invalidate its cache automatically).
+	// through one handle.
 	deng := brepartition.NewEngine(recovered, nil)
 	if _, err := deng.Insert(points[3]); err != nil {
 		log.Fatal(err)

@@ -93,14 +93,10 @@ func DimError(got, want int) error {
 	return fmt.Errorf("%w: got %d, want %d", ErrDim, got, want)
 }
 
-// ExactKNN reports whether q is the plain shape {Vec, K}: exact,
-// unfiltered kNN — what the engine's result cache keys and the cold tier
-// answers.
-func (q *Query) ExactKNN() bool { return !q.Range && !q.Approx && q.Keep == nil }
-
 // ServesCold reports whether q is served by the cold tier: the Cold
-// preference on an exact unfiltered kNN query.
-func (q *Query) ServesCold() bool { return q.Cold && q.ExactKNN() }
+// preference on an exact unfiltered kNN query, the one shape the tier
+// answers.
+func (q *Query) ServesCold() bool { return q.Cold && !q.Range && !q.Approx && q.Keep == nil }
 
 // Query answers q, appending the result items to dst: the exact or
 // approximate kNN through Algorithm 6, a range query through the same

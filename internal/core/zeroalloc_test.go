@@ -39,7 +39,6 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 				Candidates:    int64(res.Stats.Candidates),
 				DistanceComps: int64(res.Stats.DistanceComps),
 			})
-			tr.MarkCached()
 			tr.AddSpan(obs.StageTotal, time.Nanosecond)
 			dst = res.Items
 		})

@@ -15,7 +15,7 @@ import (
 // slowBackend serves canned answers, blocking each search until release
 // is closed, so the tests can hold queries in flight deterministically.
 // A traced query first records a shard span, the way the sharded index's
-// gather does, so the backend writes into the trace while its submitter
+// Query does, so the backend writes into the trace while its submitter
 // may already have stopped waiting.
 type slowBackend struct {
 	release chan struct{}
@@ -32,14 +32,12 @@ func (b *slowBackend) Query(dst []topk.Item, q *core.Query) (core.Result, error)
 	return core.Result{Stats: core.SearchStats{Candidates: 1}}, nil
 }
 
-func (b *slowBackend) Version() uint64 { return 0 }
-
 // TestDrainCloseLifecycle pins the engine's explicit shutdown semantics:
 // Close waits for every in-flight future to complete, and a post-close
 // Submit fails cleanly with ErrClosed instead of hanging or panicking.
 func TestDrainCloseLifecycle(t *testing.T) {
 	b := &slowBackend{release: make(chan struct{})}
-	e := New(b, Config{Workers: 2, CacheSize: -1})
+	e := New(b, Config{Workers: 2})
 
 	const n = 6
 	futs := make([]*Future, n)
@@ -118,7 +116,7 @@ func TestDrainCloseLifecycle(t *testing.T) {
 // work, not just running queries, and that the engine stays usable after.
 func TestDrainWaitsForBacklog(t *testing.T) {
 	b := &slowBackend{release: make(chan struct{})}
-	e := New(b, Config{Workers: 1, CacheSize: -1})
+	e := New(b, Config{Workers: 1})
 	for i := 0; i < 4; i++ {
 		e.Submit([]float64{1}, 1)
 	}
@@ -143,7 +141,7 @@ func TestDrainWaitsForBacklog(t *testing.T) {
 
 func TestWaitContextDeadline(t *testing.T) {
 	b := &slowBackend{release: make(chan struct{})}
-	e := New(b, Config{Workers: 1, CacheSize: -1})
+	e := New(b, Config{Workers: 1})
 	f := e.Submit([]float64{1}, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -169,7 +167,7 @@ func TestWaitContextDeadline(t *testing.T) {
 func TestAbandonedTraceStaysLive(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		b := &slowBackend{release: make(chan struct{})}
-		e := New(b, Config{Workers: 1, CacheSize: -1})
+		e := New(b, Config{Workers: 1})
 		tr := obs.NewTrace(obs.NextID())
 		f := e.SubmitQuery(core.Query{Vec: []float64{1}, K: 1, Trace: tr})
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)

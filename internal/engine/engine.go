@@ -1,24 +1,22 @@
 // Package engine is the concurrent batch query layer on top of any index
 // layer with a Query method: a bounded pool of worker goroutines (one
-// in-flight query each) drains a FIFO of core.Query values, an LRU result
-// cache is shared across in-flight queries, a traced query has its queue
-// wait, run time and search stats folded into its trace, and service-level
-// statistics (QPS, latency percentiles, total page reads) are aggregated.
+// in-flight query each) drains a FIFO of core.Query values, a traced
+// query has its queue wait, run time and search stats folded into its
+// trace, and service-level statistics (QPS, latency percentiles, total
+// page reads) are aggregated. It is the only queue on the query path and
+// caches nothing: every query is searched.
 //
 // The engine relies on the core index's locking discipline: searches take
 // the index's shared lock, mutations (Insert/Delete) its exclusive lock,
 // so any number of engine workers may run against an index that is being
-// mutated concurrently and each query sees one consistent snapshot. Cached
-// results are tagged with the index version observed during the search and
-// are never served across a mutation.
+// mutated concurrently and each query sees one consistent snapshot.
 //
 // Hot-path cost model: each worker's query runs through the backend's
 // pooled per-query SearchContext and the monomorphized divergence kernel
 // the index picked at build time (internal/kernel), so a saturated batch
 // performs no interface dispatch in its distance loops and no steady-state
 // allocation beyond each query's result slice — the engine's own overhead
-// is one future (which holds the query by value) and the shared-cache
-// bookkeeping per query.
+// is one future per query, which holds the query by value.
 package engine
 
 import (
@@ -37,21 +35,17 @@ import (
 )
 
 // Backend is the index surface the engine schedules over: every layer's
-// one query method plus the mutation counter. The core index, the sharded
-// index, the durable wrapper and the reload handle all implement it; the
-// engine is agnostic to which one it drives, as long as the backend's
-// methods are safe for concurrent use and Version changes on every
-// mutation (the result-cache invariant).
+// one query method. The core index, the sharded index, the durable
+// wrapper and the reload handle all implement it; the engine is agnostic
+// to which one it drives, as long as Query is safe for concurrent use.
 type Backend interface {
 	Query(dst []topk.Item, q *core.Query) (core.Result, error)
-	Version() uint64
 }
 
 // MutableBackend is the optional mutation surface. The engine routes
 // Insert/Delete through itself so services can hand one Engine handle to
-// both read and write paths: mutations are counted in the aggregate stats
-// and the result cache invalidates automatically (it keys on Version,
-// which every mutation advances).
+// both read and write paths; mutations are counted in the aggregate
+// stats.
 type MutableBackend interface {
 	Backend
 	Insert(p []float64) (int, error)
@@ -73,17 +67,14 @@ type Config struct {
 	// Workers bounds the number of concurrently executing queries
 	// (0 = GOMAXPROCS).
 	Workers int
-	// CacheSize is the result-cache capacity in entries (0 = 1024,
-	// negative disables caching).
+	// Deprecated: CacheSize is ignored; the engine caches no results.
+	// It is kept only because the benchmark module still sets it.
 	CacheSize int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 1024
 	}
 	return c
 }
@@ -93,9 +84,8 @@ func (c Config) withDefaults() Config {
 // are started on demand and exit when the queue empties, so an idle engine
 // holds no goroutines and needs no Close.
 type Engine struct {
-	ix    Backend
-	cfg   Config
-	cache *resultCache
+	ix  Backend
+	cfg Config
 
 	qmu     sync.Mutex
 	queue   []*Future  // submitted, not yet picked up by a worker
@@ -130,9 +120,6 @@ func New(ix Backend, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{ix: ix, cfg: cfg, latRNG: rand.New(rand.NewSource(1))}
 	e.idle = sync.NewCond(&e.qmu)
-	if cfg.CacheSize > 0 {
-		e.cache = newResultCache(cfg.CacheSize)
-	}
 	return e
 }
 
@@ -146,22 +133,8 @@ type Future struct {
 	done chan struct{}
 	res  core.Result
 	err  error
-
-	// Timing, written by submit (enq) and the worker (queued, runDur)
-	// before done closes; valid to read only after Wait/WaitContext
-	// observed completion.
-	enq    time.Time
-	queued time.Duration
-	runDur time.Duration
+	enq  time.Time // submission time, for the trace's queue span
 }
-
-// QueueWait returns how long the job sat in the engine queue before a
-// worker picked it up. Valid after the future resolved.
-func (f *Future) QueueWait() time.Duration { return f.queued }
-
-// RunTime returns the worker's wall time for the job. Valid after the
-// future resolved.
-func (f *Future) RunTime() time.Duration { return f.runDur }
 
 // Wait blocks until the query completes and returns its result.
 func (f *Future) Wait() (core.Result, error) {
@@ -286,18 +259,19 @@ func (e *Engine) worker() {
 		e.qmu.Unlock()
 
 		start := time.Now()
-		f.queued = start.Sub(f.enq)
-		res, cached, err := e.searchOne(&f.q)
+		res, err := e.ix.Query(nil, &f.q)
 		dur := time.Since(start)
-		f.runDur = dur
 		if tr := f.q.Trace; tr != nil {
-			tr.AddSpan(obs.StageQueue, f.queued)
+			if err == nil {
+				foldStats(tr, res.Stats)
+			}
+			tr.AddSpan(obs.StageQueue, start.Sub(f.enq))
 			tr.AddSpan(obs.StageRun, dur)
 			tr.Release() // pairs with the Retain in SubmitQuery; last trace write was above
 		}
 		f.q = core.Query{} // the future may outlive the query's vector, filter and trace
 		f.res, f.err = res, err
-		e.record(res, cached, err, dur)
+		e.record(res, err, dur)
 		close(f.done)
 	}
 }
@@ -325,8 +299,7 @@ func (e *Engine) BatchSearch(queries [][]float64, k int) ([]core.Result, error) 
 
 // Insert routes a point insertion to the backend (which must be mutable:
 // a core index, a sharded index, or a durable index — all three share one
-// Insert signature). The result cache needs no explicit flush — it keys
-// on the backend Version, which the mutation advances.
+// Insert signature).
 func (e *Engine) Insert(p []float64) (int, error) {
 	b, ok := e.ix.(interface {
 		Insert(p []float64) (int, error)
@@ -366,45 +339,10 @@ func (e *Engine) Delete(id int) (bool, error) {
 	return ok, err
 }
 
-// searchOne answers a single query. Exact unfiltered kNN consults the
-// shared result cache, which is keyed on (version, k, vector) and knows
-// nothing about predicates, guarantees or radii; cached reports whether
-// the answer was served without searching (its scan counters stay zero in
-// the trace — the work happened when the entry was populated). A searched
-// result's stats fold into the query's trace, once.
-func (e *Engine) searchOne(q *core.Query) (res core.Result, cached bool, err error) {
-	cacheable := e.cache != nil && q.ExactKNN()
-	var ver uint64
-	if cacheable {
-		ver = e.ix.Version()
-		if res, ok := e.cache.get(ver, q.K, q.Vec); ok {
-			q.Trace.MarkCached()
-			return res, true, nil
-		}
-	}
-	res, err = e.ix.Query(nil, q)
-	if err != nil {
-		return res, false, err
-	}
-	foldStats(q.Trace, res.Stats)
-	if cacheable && e.ix.Version() == ver {
-		// The version did not move across the search, so the result is
-		// exactly the snapshot tagged ver; safe to share. (If a mutation
-		// raced the search, skip caching: the result is still correct for
-		// the snapshot the search locked, but that snapshot has no stable
-		// version to key on.)
-		e.cache.put(ver, q.K, q.Vec, res)
-	}
-	return res, false, nil
-}
-
 // foldStats lifts one result's search stats into the trace: the
 // filter/refine/cold wall-time split becomes sub-spans of Run, the
 // work counters accumulate.
 func foldStats(tr *obs.Trace, st core.SearchStats) {
-	if tr == nil {
-		return
-	}
 	tr.AddSpan(obs.StageScan, st.FilterTime)
 	tr.AddSpan(obs.StageRefine, st.RefineTime)
 	tr.AddSpan(obs.StageCold, st.ColdTime)
@@ -421,10 +359,8 @@ func foldStats(tr *obs.Trace, st core.SearchStats) {
 	})
 }
 
-// record folds one finished query into the aggregate statistics. Cache
-// hits count as queries and latency samples but not as search work: their
-// page reads happened once, when the entry was populated.
-func (e *Engine) record(res core.Result, cached bool, err error, lat time.Duration) {
+// record folds one finished query into the aggregate statistics.
+func (e *Engine) record(res core.Result, err error, lat time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.queries++
@@ -433,10 +369,8 @@ func (e *Engine) record(res core.Result, cached bool, err error, lat time.Durati
 		e.errors++
 		return
 	}
-	if !cached {
-		e.pageReads += int64(res.Stats.PageReads)
-		e.candidates += int64(res.Stats.Candidates)
-	}
+	e.pageReads += int64(res.Stats.PageReads)
+	e.candidates += int64(res.Stats.Candidates)
 	e.latSeen++
 	if len(e.lat) < maxLatSamples {
 		e.lat = append(e.lat, lat)
@@ -450,17 +384,18 @@ func (e *Engine) record(res core.Result, cached bool, err error, lat time.Durati
 
 // Stats is the aggregate service view of everything the engine answered.
 type Stats struct {
-	// Queries counts completed queries (including errors and cache hits).
+	// Queries counts completed queries (including errors).
 	Queries int64
 	// Errors counts queries that returned an error.
 	Errors int64
 	// Mutations counts successful Insert/Delete calls routed through the
 	// engine.
 	Mutations int64
-	// CacheHits counts queries served from the shared result cache.
+	// Deprecated: CacheHits is always 0; the engine caches no results.
+	// It is kept only because the benchmark module still reads it.
 	CacheHits int64
-	// PageReads and Candidates sum the per-query work of all non-cached
-	// successful queries.
+	// PageReads and Candidates sum the per-query work of all successful
+	// queries.
 	PageReads  int64
 	Candidates int64
 	// Wall spans first submission to most recent completion.
@@ -468,9 +403,8 @@ type Stats struct {
 	// QPS is Queries / Wall.
 	QPS float64
 	// P50 and P99 are latency percentiles over a fixed-size uniform
-	// reservoir sample of all completed queries (cache hits included —
-	// they are real service time); memory stays constant however long
-	// the engine runs.
+	// reservoir sample of all completed queries; memory stays constant
+	// however long the engine runs.
 	P50, P99 time.Duration
 	// QueueDepth and InFlight snapshot the scheduler at Stats time:
 	// submitted-but-not-started queries and queries currently executing.
@@ -493,9 +427,6 @@ func (e *Engine) Stats() Stats {
 		Mutations:  e.mutations,
 		PageReads:  e.pageReads,
 		Candidates: e.candidates,
-	}
-	if e.cache != nil {
-		st.CacheHits = e.cache.hitCount()
 	}
 	if !e.started.IsZero() && e.lastDone.After(e.started) {
 		st.Wall = e.lastDone.Sub(e.started)

@@ -50,7 +50,7 @@ func sameAnswer(a, b core.Result) bool {
 
 func TestBatchMatchesSequential(t *testing.T) {
 	ix, queries := buildIndex(t, 600, 24, 4)
-	// Duplicate some queries so the cache path is exercised inside a batch.
+	// Duplicate some queries: a repeat is searched again, not shared.
 	queries = append(queries, queries[0], queries[3], queries[3])
 
 	const k = 7
@@ -67,7 +67,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 		{Workers: 1},
 		{Workers: 4},
 		{Workers: 8},
-		{Workers: 4, CacheSize: -1}, // cache disabled
 	} {
 		e := New(ix, cfg)
 		got, err := e.BatchSearch(queries, k)
@@ -122,75 +121,6 @@ func TestSubmitError(t *testing.T) {
 	}
 }
 
-func TestCacheHitAndInvalidation(t *testing.T) {
-	ix, queries := buildIndex(t, 400, 16, 4)
-	e := New(ix, Config{Workers: 2, CacheSize: 64})
-	q := queries[0]
-
-	first, err := e.Submit(q, 5).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Submit(q, 5).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameAnswer(first, second) {
-		t.Fatal("cached answer differs from original")
-	}
-	if st := e.Stats(); st.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
-	}
-	// A cache hit did no I/O: the work counters must reflect one search.
-	if st := e.Stats(); st.PageReads != int64(first.Stats.PageReads) {
-		t.Fatalf("PageReads = %d after a cache hit, want %d (no double count)",
-			st.PageReads, first.Stats.PageReads)
-	}
-
-	// A mutation bumps the index version: the stale entry must not be
-	// served. Delete the current nearest neighbour and search again.
-	top := first.Items[0].ID
-	if !ix.Delete(top) {
-		t.Fatalf("Delete(%d) reported not live", top)
-	}
-	third, err := e.Submit(q, 5).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range third.Items {
-		if it.ID == top {
-			t.Fatalf("deleted point %d still in post-mutation answer", top)
-		}
-	}
-	if st := e.Stats(); st.CacheHits != 1 {
-		t.Fatalf("CacheHits after mutation = %d, want still 1", st.CacheHits)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	q1, q2, q3 := []float64{1}, []float64{2}, []float64{3}
-	c.put(0, 1, q1, core.Result{})
-	c.put(0, 1, q2, core.Result{})
-	c.put(0, 1, q3, core.Result{}) // evicts q1
-	if c.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.len())
-	}
-	if _, ok := c.get(0, 1, q1); ok {
-		t.Fatal("q1 should have been evicted")
-	}
-	if _, ok := c.get(0, 1, q2); !ok {
-		t.Fatal("q2 should be cached")
-	}
-	// Different k or version must miss even for the same query.
-	if _, ok := c.get(0, 2, q2); ok {
-		t.Fatal("k=2 lookup must miss")
-	}
-	if _, ok := c.get(1, 1, q2); ok {
-		t.Fatal("version=1 lookup must miss")
-	}
-}
-
 func TestStats(t *testing.T) {
 	ix, queries := buildIndex(t, 300, 16, 4)
 	e := New(ix, Config{Workers: 4})
@@ -237,11 +167,11 @@ func TestPercentile(t *testing.T) {
 }
 
 // TestMutationRouting drives Insert/Delete through the engine: the
-// mutations must land on the backend, count in the stats, and invalidate
-// cached results via the version key.
+// mutations must land on the backend, count in the stats, and show in the
+// next answer.
 func TestMutationRouting(t *testing.T) {
 	ix, queries := buildIndex(t, 300, 16, 2)
-	e := New(ix, Config{Workers: 2, CacheSize: 64})
+	e := New(ix, Config{Workers: 2})
 	q := queries[0]
 
 	before, err := e.Submit(q, 5).Wait()
@@ -261,10 +191,10 @@ func TestMutationRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Items[0].ID != id || after.Items[0].Score != 0 {
-		t.Fatalf("inserted point not served (stale cache?): %+v", after.Items)
+		t.Fatalf("inserted point not served: %+v", after.Items)
 	}
 	if sameAnswer(before, after) {
-		t.Fatal("mutation did not invalidate the cached result")
+		t.Fatal("answer unchanged by the insert")
 	}
 
 	ok, err := e.Delete(id)
@@ -293,7 +223,7 @@ type readOnlyBackend struct{ Backend }
 
 func TestMutationRoutingReadOnly(t *testing.T) {
 	ix, _ := buildIndex(t, 50, 8, 2)
-	e := New(readOnlyBackend{ix}, Config{Workers: 1, CacheSize: -1})
+	e := New(readOnlyBackend{ix}, Config{Workers: 1})
 	if _, err := e.Insert([]float64{1}); err != ErrNoMutate {
 		t.Fatalf("want ErrNoMutate, got %v", err)
 	}
@@ -306,9 +236,9 @@ func TestMutationRoutingReadOnly(t *testing.T) {
 // holds and checks memory stays capped while the sample keeps admitting
 // late arrivals (uniform over the whole run, not a frozen prefix).
 func TestLatencyReservoirBounded(t *testing.T) {
-	e := New(readOnlyBackend{}, Config{Workers: 1, CacheSize: -1})
+	e := New(readOnlyBackend{}, Config{Workers: 1})
 	for i := 0; i < 3*maxLatSamples; i++ {
-		e.record(core.Result{}, false, nil, time.Duration(i))
+		e.record(core.Result{}, nil, time.Duration(i))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

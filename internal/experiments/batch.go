@@ -55,7 +55,7 @@ func (e *Env) Batch(workers, batchSize int) []Table {
 		}
 
 		for _, w := range workerSweep(workers) {
-			eng := engine.New(ix, engine.Config{Workers: w, CacheSize: -1})
+			eng := engine.New(ix, engine.Config{Workers: w})
 			start := time.Now()
 			if _, err := eng.BatchSearch(queries, k); err != nil {
 				panic(fmt.Sprintf("batch(%s, w=%d): %v", name, w, err))

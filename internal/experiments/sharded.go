@@ -13,7 +13,7 @@ import (
 	"brepartition/internal/shard"
 )
 
-// Sharded measures the scatter-gather layer against the single index: one
+// Sharded measures the sharded layer against the single index: one
 // batch of queries through the single-index engine versus the sharded
 // index at `shards` hash partitions, plus the snapshot round trip
 // (WriteDir/ReadDir wall time and on-disk size). It extends the paper's
@@ -75,12 +75,12 @@ func (e *Env) Sharded(workers, batchSize, shards int) []Table {
 		}
 
 		tbl := Table{
-			Title: fmt.Sprintf("Sharded scatter-gather — %s (batch=%d, k=%d, N=%d shards, live sizes=%v)",
+			Title: fmt.Sprintf("Sharded fork-join — %s (batch=%d, k=%d, N=%d shards, live sizes=%v)",
 				name, batchSize, k, shards, sx.ShardLiveSizes()),
 			Header: []string{"mode", "wall", "QPS", "pageReads", "speedup"},
 		}
 
-		eng := engine.New(ix, engine.Config{Workers: workers, CacheSize: -1})
+		eng := engine.New(ix, engine.Config{Workers: workers})
 		singleStart := time.Now()
 		if _, err := eng.BatchSearch(queries, k); err != nil {
 			panic(fmt.Sprintf("sharded(%s) single engine: %v", name, err))
@@ -95,8 +95,9 @@ func (e *Env) Sharded(workers, batchSize, shards int) []Table {
 		})
 
 		shardedStart := time.Now()
-		// One outer worker per query keeps every shard's pool fed.
-		results, err := engine.New(sx, engine.Config{Workers: len(queries), CacheSize: -1}).BatchSearch(queries, k)
+		// The same worker count as the single index; each query runs its
+		// shards itself.
+		results, err := engine.New(sx, engine.Config{Workers: workers}).BatchSearch(queries, k)
 		if err != nil {
 			panic(fmt.Sprintf("sharded(%s) batch: %v", name, err))
 		}
@@ -106,7 +107,7 @@ func (e *Env) Sharded(workers, batchSize, shards int) []Table {
 			shardedReads += int64(r.Stats.PageReads)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprintf("sharded ×%d, scatter-gather", shards),
+			fmt.Sprintf("sharded ×%d, engine w=%d", shards, workers),
 			fmtDur(shardedWall),
 			fmt.Sprintf("%.0f", float64(batchSize)/shardedWall.Seconds()),
 			fmt.Sprintf("%d", shardedReads),

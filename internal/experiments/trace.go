@@ -18,9 +18,8 @@ import (
 )
 
 // Trace measures WHERE a served query's latency goes: it stands up the
-// full loopback serving stack with every request traced (sample rate 1)
-// and the result cache off, drives the query set through the binary
-// protocol, and reports the per-stage time budget from the server's own
+// full loopback serving stack with every request traced (sample rate 1),
+// drives the query set through the binary protocol, and reports the per-stage time budget from the server's own
 // stage histograms — the same data /metrics exports as
 // breserved_request_duration_seconds. The interesting output is the
 // decomposition: how much of the end-to-end total is admission,
@@ -55,7 +54,7 @@ func (e *Env) Trace(workers int) []Table {
 	srv := server.New(h,
 		func() (*shard.Durable, error) { return shard.OpenDurable(root, opts) },
 		server.Config{
-			Engine:      engine.Config{Workers: workers, CacheSize: -1},
+			Engine:      engine.Config{Workers: workers},
 			TraceSample: 1,
 		})
 	ts := httptest.NewServer(srv.Handler())

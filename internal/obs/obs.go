@@ -95,10 +95,12 @@ type Counters struct {
 	ColdScanned, ColdPruned, ColdFaults, ColdHits int64
 }
 
-// ShardSpan is one shard's contribution to a scatter-gather query.
+// ShardSpan is one shard's contribution to a sharded query. Run is timed
+// from the fork to that shard's answer, so the slowest shard's Run plus
+// the merge is the query's critical path.
 type ShardSpan struct {
 	Shard      int
-	Queue, Run time.Duration
+	Run        time.Duration
 	Items      int // results the shard returned before the merge
 	Candidates int // filter-phase survivors on that shard
 }
@@ -112,10 +114,9 @@ const maxShardSpans = 64
 // nothing), safe for concurrent use, and allocation-free after the
 // trace leaves the pool warm.
 type Trace struct {
-	id     uint64
-	refs   atomic.Int32
-	k, nq  int64
-	cached atomic.Bool
+	id    uint64
+	refs  atomic.Int32
+	k, nq int64
 
 	spans [NumStages]atomic.Int64 // nanoseconds
 
@@ -137,7 +138,6 @@ func NewTrace(id uint64) *Trace {
 	t.id = id
 	t.refs.Store(1)
 	t.k, t.nq = 0, 0
-	t.cached.Store(false)
 	for i := range t.spans {
 		t.spans[i].Store(0)
 	}
@@ -206,23 +206,6 @@ func (t *Trace) NQ() int {
 		return 0
 	}
 	return int(atomic.LoadInt64(&t.nq))
-}
-
-// MarkCached flags that the engine served this request from its result
-// cache (scan counters will be zero).
-func (t *Trace) MarkCached() {
-	if t == nil {
-		return
-	}
-	t.cached.Store(true)
-}
-
-// Cached reports whether any part of the request hit the result cache.
-func (t *Trace) Cached() bool {
-	if t == nil {
-		return false
-	}
-	return t.cached.Load()
 }
 
 // AddSpan adds d to the given stage's span. Batch requests and

@@ -29,9 +29,8 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.Add(Counters{Nodes: 5})
 	tr.AddShard(ShardSpan{Shard: 1})
 	tr.SetQuery(10, 1)
-	tr.MarkCached()
 	tr.Release()
-	if tr.ID() != 0 || tr.Span(StageRun) != 0 || tr.Cached() || tr.K() != 0 || tr.NQ() != 0 {
+	if tr.ID() != 0 || tr.Span(StageRun) != 0 || tr.K() != 0 || tr.NQ() != 0 {
 		t.Fatal("nil trace returned nonzero state")
 	}
 	if c := tr.Counters(); c != (Counters{}) {
@@ -53,7 +52,6 @@ func TestTraceAccumulatesAndResets(t *testing.T) {
 	tr.Add(Counters{Nodes: 7, Candidates: 2})
 	tr.Add(Counters{Nodes: 1, ColdFaults: 4})
 	tr.AddShard(ShardSpan{Shard: 0, Run: time.Millisecond, Items: 5})
-	tr.MarkCached()
 	if got := tr.Span(StageQueue); got != 5*time.Millisecond {
 		t.Errorf("queue span = %v", got)
 	}
@@ -61,8 +59,8 @@ func TestTraceAccumulatesAndResets(t *testing.T) {
 	if c.Nodes != 8 || c.Candidates != 2 || c.ColdFaults != 4 {
 		t.Errorf("counters = %+v", c)
 	}
-	if len(tr.Shards()) != 1 || !tr.Cached() || tr.K() != 10 || tr.NQ() != 3 {
-		t.Errorf("shards/cached/k/nq wrong: %v %v %d %d", tr.Shards(), tr.Cached(), tr.K(), tr.NQ())
+	if len(tr.Shards()) != 1 || tr.K() != 10 || tr.NQ() != 3 {
+		t.Errorf("shards/k/nq wrong: %v %d %d", tr.Shards(), tr.K(), tr.NQ())
 	}
 	tr.Release()
 
@@ -70,7 +68,7 @@ func TestTraceAccumulatesAndResets(t *testing.T) {
 	tr2 := NewTrace(43)
 	defer tr2.Release()
 	if tr2.Span(StageQueue) != 0 || tr2.Counters() != (Counters{}) ||
-		len(tr2.Shards()) != 0 || tr2.Cached() || tr2.K() != 0 {
+		len(tr2.Shards()) != 0 || tr2.K() != 0 {
 		t.Fatal("pooled trace not reset")
 	}
 }

@@ -14,7 +14,7 @@ import (
 //
 // Schema (all durations in fractional milliseconds):
 //
-//	msg="slow query" trace_id collection op k nq cached shards total_ms
+//	msg="slow query" trace_id collection op k nq shards total_ms
 //	stages.{admission,coalesce,queue,run,scan,refine,cold}_ms
 //	counters.{nodes,leaves,candidates,distance_comps,page_reads,
 //	          cold_scanned,cold_pruned,cold_faults,cold_hits}
@@ -48,7 +48,6 @@ func (sl *SlowLog) MaybeLog(collection, op string, tr *Trace, total time.Duratio
 		slog.String("op", op),
 		slog.Int("k", tr.K()),
 		slog.Int("nq", tr.NQ()),
-		slog.Bool("cached", tr.Cached()),
 		slog.Int("shards", len(tr.Shards())),
 		slog.Float64("total_ms", ms(total)),
 		slog.Group("stages",

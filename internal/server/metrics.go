@@ -152,20 +152,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("Requests that missed their deadline (504).", "counter",
 		"breserved_deadline_total", g("breserved_deadline_total", float64(s.m.deadlines.Load())))
 
-	emit("Completed engine queries (errors and cache hits included).", "counter",
+	emit("Completed engine queries (errors included).", "counter",
 		"breserved_engine_queries_total", g("breserved_engine_queries_total", float64(st.Queries)))
 	emit("Engine queries that returned an error.", "counter",
 		"breserved_engine_errors_total", g("breserved_engine_errors_total", float64(st.Errors)))
 	emit("Mutations routed through the engine.", "counter",
 		"breserved_engine_mutations_total", g("breserved_engine_mutations_total", float64(st.Mutations)))
-	emit("Queries served from the shared result cache.", "counter",
-		"breserved_engine_cache_hits_total", g("breserved_engine_cache_hits_total", float64(st.CacheHits)))
-	hitRate := 0.0
-	if st.Queries > 0 {
-		hitRate = float64(st.CacheHits) / float64(st.Queries)
-	}
-	emit("Cache hits per completed query.", "gauge",
-		"breserved_engine_cache_hit_rate", g("breserved_engine_cache_hit_rate", hitRate))
 	emit("Completed queries per second of engine wall time.", "gauge",
 		"breserved_engine_qps", g("breserved_engine_qps", st.QPS))
 	emit("Engine latency reservoir percentiles, in seconds.", "summary", "breserved_engine_latency_seconds",

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"brepartition/internal/engine"
 	"brepartition/internal/wire"
 )
 
@@ -23,10 +22,7 @@ var labelPair = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"$`)
 // suffix imply each other, quantile series are summaries, and every
 // histogram family carries _bucket/_sum/_count with a +Inf bucket.
 func TestMetricsExposition(t *testing.T) {
-	s := newTestServer(t, 500, Config{
-		TraceSample: 1,
-		Engine:      engine.Config{CacheSize: -1},
-	})
+	s := newTestServer(t, 500, Config{TraceSample: 1})
 	queries := testPoints(4, 10, 63)
 	for _, q := range queries {
 		resp, body := s.postJSON(t, "/v1/search", wire.SearchRequest{Q: q, K: 3})

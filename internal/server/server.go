@@ -78,8 +78,8 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to 429 responses, rounded
 	// up to whole seconds as the header requires (0 = 1s).
 	RetryAfter time.Duration
-	// Engine tunes each collection's query engine (workers, result-cache
-	// size).
+	// Engine tunes each collection's query engine: how many queries run
+	// at once.
 	Engine engine.Config
 	// MaintainInterval enables each collection's background shard
 	// maintainer: every interval it sweeps per-shard health and compacts

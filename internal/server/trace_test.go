@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"brepartition/internal/core"
-	"brepartition/internal/engine"
 	"brepartition/internal/obs"
 	"brepartition/internal/wire"
 )
@@ -37,7 +36,6 @@ type slowLine struct {
 	Op         string             `json:"op"`
 	K          int                `json:"k"`
 	NQ         int                `json:"nq"`
-	Cached     bool               `json:"cached"`
 	Shards     int                `json:"shards"`
 	TotalMS    float64            `json:"total_ms"`
 	Stages     map[string]float64 `json:"stages"`
@@ -83,7 +81,6 @@ func TestTraceStageIdentityAndSlowLog(t *testing.T) {
 		TraceSample:        1,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       slog.New(slog.NewJSONHandler(&buf, nil)),
-		Engine:             engine.Config{CacheSize: -1},
 	})
 	queries := testPoints(6, 10, 77)
 	const k = 5
@@ -185,7 +182,6 @@ func TestTraceCountersMatchRecount(t *testing.T) {
 		TraceSample:        1,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       slog.New(slog.NewJSONHandler(&buf, nil)),
-		Engine:             engine.Config{CacheSize: -1},
 	})
 	queries := testPoints(5, 10, 41)
 	const k = 5
@@ -230,7 +226,7 @@ func TestTraceCountersMatchRecount(t *testing.T) {
 // the same query answered with a forced trace (X-Trace-Id) and without
 // produces byte-identical response bodies.
 func TestTracedAnswersBitIdentical(t *testing.T) {
-	s := newTestServer(t, 600, Config{Engine: engine.Config{CacheSize: -1}})
+	s := newTestServer(t, 600, Config{})
 	queries := testPoints(4, 10, 91)
 	const k = 5
 
@@ -276,7 +272,7 @@ func TestTracedAnswersBitIdentical(t *testing.T) {
 // carrying a trace id gets it echoed in the response frame, and the
 // answer matches the untraced frame's answer.
 func TestFrameTraceEcho(t *testing.T) {
-	s := newTestServer(t, 400, Config{Engine: engine.Config{CacheSize: -1}})
+	s := newTestServer(t, 400, Config{})
 	q := testPoints(1, 10, 17)[0]
 	const k = 3
 
@@ -329,7 +325,6 @@ func TestFrameServerTraceStaysInternal(t *testing.T) {
 		TraceSample:        1,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       slog.New(slog.NewJSONHandler(&buf, nil)),
-		Engine:             engine.Config{CacheSize: -1},
 	})
 	q := testPoints(1, 10, 23)[0]
 

@@ -2,7 +2,7 @@ package shard
 
 // Cold tier, sharded: every sub-index carries its own coldtier replica
 // (built over that sub's LOCAL live ids), so a query with the Cold
-// preference goes through the same scatter and exact merge as any other
+// preference goes through the same fork and exact merge as any other
 // (Index.Query) — per-shard answers arrive with local ids in (distance,
 // local id) order, and l2g's strict monotonicity makes that the global
 // (distance, id) order merge already relies on. A slot whose sub has no

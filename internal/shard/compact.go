@@ -26,9 +26,8 @@ import (
 //
 // Compaction is logically invisible: the live point set, every global id,
 // N(), Live(), and Version() are identical before and after (answers are
-// bit-identical — same coordinates, same global-id tie-break), so the
-// engine's result cache keyed on Version stays valid and nothing is
-// written to the WAL. Tombstoned ids whose points the rebuild dropped
+// bit-identical — same coordinates, same global-id tie-break), so nothing
+// is written to the WAL. Tombstoned ids whose points the rebuild dropped
 // become "gone" (owned by no shard); their tombstones persist in the
 // manifest so recovery and replay stay idempotent, and the next
 // checkpoint garbage-collects the reclaimed storage from disk.
@@ -222,11 +221,10 @@ func (ix *Index) CompactShard(s int) (CompactStats, error) {
 	if newSub == nil {
 		ix.slots[s] = nil
 	} else {
-		ix.slots[s] = &slot{sub: newSub, eng: ix.newEngine(newSub), l2g: newL2G}
+		ix.slots[s] = &slot{sub: newSub, l2g: newL2G}
 	}
 	stats.After = len(newL2G)
 	// Version is deliberately NOT bumped: the live set, ids, and answers
-	// are unchanged, so caches keyed on Version remain valid and Version
-	// stays continuous across compactions.
+	// are unchanged, so Version stays continuous across compactions.
 	return stats, nil
 }

@@ -66,13 +66,12 @@ type Durable struct {
 
 // DurableOptions configures a durable index.
 type DurableOptions struct {
-	// Shards, Workers, Dim, Core configure the underlying sharded index
-	// exactly as Options does (Dim permits building or opening an empty
-	// index whose dimensionality no snapshot can yet attest).
-	Shards  int
-	Workers int
-	Dim     int
-	Core    core.Options
+	// Shards, Dim, Core configure the underlying sharded index exactly
+	// as Options does (Dim permits building or opening an empty index
+	// whose dimensionality no snapshot can yet attest).
+	Shards int
+	Dim    int
+	Core   core.Options
 
 	// SyncEvery and SyncInterval set the WAL durability policy (see
 	// wal.Options): 0/1 fsyncs every mutation (group-committed), N > 1
@@ -105,7 +104,7 @@ func (o DurableOptions) walOptions() wal.Options {
 }
 
 func (o DurableOptions) shardOptions() Options {
-	return Options{Shards: o.Shards, Workers: o.Workers, Dim: o.Dim, Core: o.Core}
+	return Options{Shards: o.Shards, Dim: o.Dim, Core: o.Core}
 }
 
 // ErrRecovery reports an unrecoverable durable directory: the snapshot and
@@ -229,8 +228,8 @@ func OpenDurable(root string, opts DurableOptions) (*Durable, error) {
 
 	// Seed the mutation counter: without this a checkpoint-folded state
 	// would reopen at Version 0 (or, with staging overlap, below the
-	// pre-crash value) and an engine result cache keyed on
-	// (version, query) could alias two different index states.
+	// pre-crash value), and the Version the server reports would move
+	// backwards across a restart.
 	ix.mu.Lock()
 	ix.version = lastLSN
 	ix.mu.Unlock()
@@ -492,7 +491,8 @@ func (d *Durable) Search(q []float64, k int) (core.Result, error) {
 // Divergence returns the divergence the index was built with.
 func (d *Durable) Divergence() bregman.Divergence { return d.ix.Divergence() }
 
-// Version counts mutations (the engine result-cache key).
+// Version counts mutations; it never moves backwards, not even across
+// recovery.
 func (d *Durable) Version() uint64 { return d.ix.Version() }
 
 // N returns the number of ids ever assigned.

@@ -3,12 +3,10 @@ package shard
 import (
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"brepartition/internal/bregman"
 	"brepartition/internal/core"
-	"brepartition/internal/engine"
 )
 
 // buildDurableFixture builds a small durable index with the background
@@ -29,11 +27,11 @@ func buildDurableFixture(t *testing.T, n int) (*Durable, [][]float64, string) {
 	return dx, points, root
 }
 
-// TestDurableVersionSurvivesRecovery audits the engine result-cache
-// invariant across the durable lifecycle: Version() must reflect every
-// mutation ever applied — on the live index, after a WAL-tail recovery,
-// and after a checkpoint folds the tail into the snapshot — so a cache
-// entry keyed on (version, query) can never alias two different states.
+// TestDurableVersionSurvivesRecovery pins the Version contract across the
+// durable lifecycle: Version() counts every mutation ever applied — on the
+// live index, after a WAL-tail recovery, and after a checkpoint folds the
+// tail into the snapshot — so the version the server reports never moves
+// backwards and never names two different index states.
 func TestDurableVersionSurvivesRecovery(t *testing.T) {
 	dx, points, root := buildDurableFixture(t, 60)
 
@@ -93,8 +91,8 @@ func TestDurableVersionSurvivesRecovery(t *testing.T) {
 // mutation that lands while the checkpoint snapshot is being staged is
 // absorbed by the snapshot but carries an LSN past the checkpoint's. On
 // recovery its WAL record is skipped idempotently — Version() must still
-// count it (it is in the recovered state), or the (version, query) cache
-// key would alias two different states.
+// count it (it is in the recovered state), or one version would name two
+// different states.
 func TestDurableVersionCheckpointOverlap(t *testing.T) {
 	dx, points, root := buildDurableFixture(t, 60)
 	for i := 0; i < 3; i++ {
@@ -133,78 +131,5 @@ func TestDurableVersionCheckpointOverlap(t *testing.T) {
 	}
 	if got := dx2.N(); got != 64 {
 		t.Fatalf("recovered N = %d, want 64", got)
-	}
-}
-
-// TestEngineCacheNotStaleAcrossDurableMutations is the end-to-end LRU
-// audit: results cached by an engine over a DurableIndex must never be
-// served after a mutation routed through the engine, including mutations
-// applied on a WAL-recovered index — the scenario where a version counter
-// restarting from zero would silently revive pre-recovery cache entries.
-func TestEngineCacheNotStaleAcrossDurableMutations(t *testing.T) {
-	dx, points, root := buildDurableFixture(t, 60)
-	q := points[3]
-
-	eng := engine.New(dx, engine.Config{Workers: 2, CacheSize: 64})
-	before, err := eng.Submit(q, 3).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second identical query: must come from the cache (same version).
-	if _, err := eng.Submit(q, 3).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if hits := eng.Stats().CacheHits; hits != 1 {
-		t.Fatalf("cache hits before mutation = %d, want 1", hits)
-	}
-
-	// Delete the current best answer through the engine; the next lookup
-	// must miss the cache and reflect the tombstone.
-	bestID := before.Items[0].ID
-	if ok, err := eng.Delete(bestID); !ok || err != nil {
-		t.Fatalf("engine Delete(%d) = %v, %v", bestID, ok, err)
-	}
-	after, err := eng.Submit(q, 3).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := eng.Stats().CacheHits; hits != 1 {
-		t.Fatalf("cache hits after mutation = %d, want still 1 (stale entry served)", hits)
-	}
-	for _, it := range after.Items {
-		if it.ID == bestID {
-			t.Fatalf("deleted id %d served from stale cache: %v", bestID, after.Items)
-		}
-	}
-	if reflect.DeepEqual(before.Items, after.Items) {
-		t.Fatal("post-delete result identical to cached pre-delete result")
-	}
-	if err := dx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover and keep mutating through a fresh engine: version continuity
-	// means (version, query) keys stay unique across the crash boundary.
-	dx2, err := OpenDurable(root, DurableOptions{CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dx2.Close()
-	if dx2.Version() != dx.Version() {
-		t.Fatalf("recovered Version %d != pre-close %d", dx2.Version(), dx.Version())
-	}
-	eng2 := engine.New(dx2, engine.Config{Workers: 2, CacheSize: 64})
-	res, err := eng2.Submit(q, 3).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Items, after.Items) {
-		t.Fatalf("recovered answer diverged\ngot  %v\nwant %v", res.Items, after.Items)
-	}
-	if _, err := eng2.Insert(points[8]); err != nil {
-		t.Fatal(err)
-	}
-	if dx2.Version() != dx.Version()+1 {
-		t.Fatalf("Version after recovered insert = %d, want %d", dx2.Version(), dx.Version()+1)
 	}
 }

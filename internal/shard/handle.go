@@ -20,8 +20,7 @@ import (
 // lock so a reload can quiesce the write path (exclusive side) for the
 // checkpoint-close-reopen-swap window; because that window leaves the
 // logical index state untouched and the mutation counter is seeded from
-// the checkpoint LSN, Version is continuous across swaps and an engine
-// result cache keyed on it stays valid.
+// the checkpoint LSN, Version is continuous across swaps.
 //
 // A Handle implements the same Backend + mutation surface as Durable, so
 // an Engine can be built over the handle once and survive any number of

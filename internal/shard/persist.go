@@ -207,8 +207,9 @@ func syncPath(path string) error {
 // checked against the manifest's size and checksum before it is parsed,
 // and the id maps are validated to be a permutation, so corruption
 // anywhere fails the load with a descriptive error instead of serving a
-// silently wrong index. opts tunes the runtime knobs (engine workers);
-// shard count and core geometry come from the snapshot itself.
+// silently wrong index. opts supplies what a snapshot does not carry (Dim
+// for one with no shard file, the core options later rebuilds use); shard
+// count and core geometry come from the snapshot itself.
 //
 // When dir is absent but a complete previous snapshot sits at dir+".old"
 // (a crash hit WriteDir's commit window between its two renames), ReadDir
@@ -339,7 +340,7 @@ func ReadDirMeta(dir string, opts Options) (*Index, []byte, error) {
 			return nil, nil, fmt.Errorf("%w: shard file %s dimensionality %d, other shards have %d",
 				ErrBadSnapshot, name, sub.Dim(), ix.d)
 		}
-		ix.slots[s] = &slot{sub: sub, eng: ix.newEngine(sub), l2g: l2g}
+		ix.slots[s] = &slot{sub: sub, l2g: l2g}
 	}
 
 	nDel := int(r.u32())

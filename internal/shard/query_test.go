@@ -47,11 +47,10 @@ func rangeSearch(b querier, q []float64, r float64) ([]topk.Item, core.SearchSta
 	return res.Items, res.Stats, err
 }
 
-// batchSearch is a batch at any layer: a cacheless engine over it submits
-// every query (one worker each, so every shard's pool stays fed), then
-// gathers.
+// batchSearch is a batch at any layer: an engine over it submits every
+// query, then gathers.
 func batchSearch(b engine.Backend, queries [][]float64, k int) ([]core.Result, error) {
-	return engine.New(b, engine.Config{Workers: len(queries), CacheSize: -1}).BatchSearch(queries, k)
+	return engine.New(b, engine.Config{}).BatchSearch(queries, k)
 }
 
 // engineQuerier runs a Query through an engine's queue.
@@ -78,10 +77,7 @@ type matrixLayer struct {
 	tiers bool
 	// forcesCold reports that the layer gives every query the Cold
 	// preference (a Handle with its cold tier enabled).
-	forcesCold bool
-	// cached reports a result cache above the layer: a repeated exact
-	// query may be answered without reaching it.
-	cached        bool
+	forcesCold    bool
 	coldFallbacks func() int64
 	// shorthands are the named methods the layer keeps, each with the
 	// Query shape it must equal.
@@ -240,32 +236,26 @@ func matrixLayers(t *testing.T, div bregman.Divergence, pts [][]float64) []*matr
 		})
 	}
 
-	for _, cache := range []int{-1, 64} {
-		sx := buildSharded(3)
-		e := engine.New(sx, engine.Config{Workers: 2, CacheSize: cache})
-		name := "engine-nocache"
-		if cache > 0 {
-			name = "engine-cache"
-		}
-		layers = append(layers, &matrixLayer{
-			name: name, b: engineQuerier{e}, insert: e.Insert, delete: e.Delete, sharded: sx, compact: compactOf(sx.CompactShard),
-			tiers: true, cached: cache > 0, coldFallbacks: sx.ColdFallbacks,
-			shorthands: func(q []float64, k int, _ float64) []shorthand {
-				return []shorthand{
-					{"Submit", func() ([]topk.Item, error) { return items(e.Submit(q, k).Wait()) }, core.Query{Vec: q, K: k}},
-					{"BatchSearch", func() ([]topk.Item, error) {
-						res, err := e.BatchSearch([][]float64{q}, k)
-						return res[0].Items, err
-					}, core.Query{Vec: q, K: k}},
-				}
-			},
-		})
-	}
+	sx := buildSharded(3)
+	e := engine.New(sx, engine.Config{Workers: 2})
+	layers = append(layers, &matrixLayer{
+		name: "engine", b: engineQuerier{e}, insert: e.Insert, delete: e.Delete, sharded: sx, compact: compactOf(sx.CompactShard),
+		tiers: true, coldFallbacks: sx.ColdFallbacks,
+		shorthands: func(q []float64, k int, _ float64) []shorthand {
+			return []shorthand{
+				{"Submit", func() ([]topk.Item, error) { return items(e.Submit(q, k).Wait()) }, core.Query{Vec: q, K: k}},
+				{"BatchSearch", func() ([]topk.Item, error) {
+					res, err := e.BatchSearch([][]float64{q}, k)
+					return res[0].Items, err
+				}, core.Query{Vec: q, K: k}},
+			}
+		},
+	})
 	return layers
 }
 
 // liveShards counts the shard slots holding points: the child spans a
-// traced query records and the sub-queries a scatter submits.
+// traced query records and the sub-queries a fork runs.
 func (l *matrixLayer) liveShards() []int {
 	if l.sharded == nil {
 		return nil
@@ -300,7 +290,7 @@ func (l *matrixLayer) wantFallbacks(m *matrixModel) int64 {
 // TestQueryModeMatrix runs every legal Query shape, traced and untraced,
 // through every layer of the query path — core.Index, shard.Index (one
 // and three shards), Durable, Handle (cold tier off and on) and the engine
-// (cache off and on) — against the brute-force model, interleaved with
+// — against the brute-force model, interleaved with
 // Insert, Delete and CompactShard. Items must be bit-identical to the
 // oracle, every named shorthand must equal its Query form, cold fallbacks
 // must count one per shard served hot, a traced query must record one
@@ -374,20 +364,15 @@ func TestQueryModeMatrix(t *testing.T) {
 							if sh.q.Range && (res.Stats.FilterTime <= 0 || res.Stats.RefineTime <= 0) {
 								t.Fatalf("%s: range phases untimed: filter %v refine %v", where, res.Stats.FilterTime, res.Stats.RefineTime)
 							}
-							if tr.Cached() && !l.cached {
-								t.Fatalf("%s: cache hit without a cache", where)
+							want := int64(0)
+							if query.Cold = query.Cold || l.forcesCold; query.ServesCold() {
+								want = l.wantFallbacks(m)
 							}
-							if !l.cached {
-								want := int64(0)
-								if query.Cold = query.Cold || l.forcesCold; query.ServesCold() {
-									want = l.wantFallbacks(m)
-								}
-								if got := l.coldFallbacks() - before; got != want {
-									t.Fatalf("%s traced=%v: %d cold fallbacks, want %d (dirty %v)", where, traced, got, want, m.dirty)
-								}
+							if got := l.coldFallbacks() - before; got != want {
+								t.Fatalf("%s traced=%v: %d cold fallbacks, want %d (dirty %v)", where, traced, got, want, m.dirty)
 							}
 							if traced {
-								if spans := tr.Shards(); !tr.Cached() && len(spans) != len(l.liveShards()) {
+								if spans := tr.Shards(); len(spans) != len(l.liveShards()) {
 									t.Fatalf("%s: %d shard spans, want one per live shard %v", where, len(spans), l.liveShards())
 								}
 								tr.Release()

@@ -53,7 +53,7 @@ func TestShardedConcurrentMutationOracle(t *testing.T) {
 	}
 
 	div := bregman.SquaredEuclidean{}
-	sx, err := Build(div, points, Options{Shards: shards, Workers: 2,
+	sx, err := Build(div, points, Options{Shards: shards,
 		Core: core.Options{M: 2, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)

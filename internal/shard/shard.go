@@ -1,9 +1,9 @@
 // Package shard multiplies the BrePartition core index horizontally: a
 // sharded index hash-partitions points across N independent core indexes
-// and answers queries scatter-gather — every query fans out to all shards
-// through per-shard engine worker pools, per-shard top-k answers are merged
-// into the global top-k, and mutations route to the single shard that owns
-// the point's id, so an Insert or Delete never locks more than one shard.
+// and answers queries fork-join — every query runs all its shards itself
+// (no per-shard queue), per-shard top-k answers are merged into the global
+// top-k, and mutations route to the single shard that owns the point's id,
+// so an Insert or Delete never locks more than one shard.
 //
 // This mirrors the paper's partitioned upper-bound pruning one level up:
 // the paper partitions *dimensions* and merges per-subspace bounds; this
@@ -33,14 +33,13 @@ package shard
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"brepartition/internal/bregman"
 	"brepartition/internal/core"
-	"brepartition/internal/engine"
 	"brepartition/internal/obs"
 	"brepartition/internal/partition"
 	"brepartition/internal/topk"
@@ -50,10 +49,6 @@ import (
 type Options struct {
 	// Shards is the number of hash partitions (0 = 4).
 	Shards int
-	// Workers bounds each shard's engine worker pool (0 = GOMAXPROCS
-	// divided by the shard count, at least 1, so a saturated batch uses
-	// about GOMAXPROCS goroutines across all shards).
-	Workers int
 	// Dim fixes the dimensionality of an index built over zero points (a
 	// freshly created collection that will be populated through Insert).
 	// With one or more build points it is ignored — the points decide.
@@ -70,12 +65,6 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) / o.Shards
-		if o.Workers < 1 {
-			o.Workers = 1
-		}
-	}
 	return o
 }
 
@@ -91,16 +80,15 @@ type loc struct {
 // goneLoc marks a global id whose tombstoned point compaction reclaimed.
 var goneLoc = loc{shard: -1, local: -1}
 
-// slot is one shard generation: a core index, its query engine, and the
-// local→global id map for exactly that index. Compaction replaces a
-// shard's slot wholesale (under the id-map write lock); a query that
-// captured the old slot keeps searching and translating against it, so
-// swaps never block or misdirect in-flight queries. l2g is append-only
+// slot is one shard generation: a core index and the local→global id map
+// for exactly that index. Compaction replaces a shard's slot wholesale
+// (under the id-map write lock); a query that captured the old slot keeps
+// searching and translating against it, so swaps never block or
+// misdirect in-flight queries. l2g is append-only
 // within a generation and strictly increasing, so local id order is
 // global id order — the invariant the exact tie-break merge relies on.
 type slot struct {
 	sub *core.Index
-	eng *engine.Engine
 	l2g []int
 }
 
@@ -238,16 +226,9 @@ func Build(div bregman.Divergence, points [][]float64, opts Options) (*Index, er
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		ix.slots[s] = &slot{sub: sub, eng: ix.newEngine(sub), l2g: l2gs[s]}
+		ix.slots[s] = &slot{sub: sub, l2g: l2gs[s]}
 	}
 	return ix, nil
-}
-
-// newEngine wraps one shard in its query worker pool. Per-shard caches are
-// disabled: the public Engine layer caches merged results once, which is
-// strictly more useful than N partial caches.
-func (ix *Index) newEngine(sub *core.Index) *engine.Engine {
-	return engine.New(sub, engine.Config{Workers: ix.opts.Workers, CacheSize: -1})
 }
 
 // Shards returns the shard count.
@@ -280,8 +261,8 @@ func (ix *Index) Deleted(g int) bool {
 	return g >= 0 && g < len(ix.deleted) && ix.deleted[g]
 }
 
-// Version counts mutations applied through this index; the engine result
-// cache keys on it exactly as with the core index.
+// Version counts mutations applied through this index. Compaction leaves
+// it alone, because it changes no answer.
 func (ix *Index) Version() uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -361,23 +342,67 @@ func (ix *Index) Search(q []float64, k int) (core.Result, error) {
 //   - Cold is passed to the shards that carry a tier; the others serve
 //     their part hot, counted in ColdFallbacks.
 //
-// With q.Trace set, one child span per live shard is recorded from the
-// timings the per-shard engines stamp on their futures (those engines get
-// no trace of their own: their queue and run spans would double-count the
-// serving engine's).
+// The query runs its shards itself — one goroutine per live shard but the
+// last, which runs in the caller — so an engine in front of the index is
+// the only place it waits. With q.Trace set, one child span per live shard
+// is recorded, its Run timed from the fork to that shard's answer.
 func (ix *Index) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 	if err := q.Validate(ix.div, ix.d); err != nil {
 		return core.Result{}, err
 	}
-	slots, futs := ix.scatter(q)
-	return ix.gather(dst, q, slots, futs)
+	parts := ix.fork(q)
+	var start time.Time
+	if q.Trace != nil {
+		start = time.Now()
+	}
+	if n := len(parts); n > 0 {
+		var wg sync.WaitGroup
+		wg.Add(n - 1)
+		for i := range parts[:n-1] {
+			p := &parts[i]
+			go func() {
+				defer wg.Done()
+				p.run(start)
+			}()
+		}
+		parts[n-1].run(start)
+		wg.Wait()
+	}
+	for i := range parts {
+		p := &parts[i]
+		if p.err != nil {
+			return core.Result{}, p.err
+		}
+		q.Trace.AddShard(obs.ShardSpan{Shard: p.shard, Run: p.dur, Items: len(p.res.Items), Candidates: p.res.Stats.Candidates})
+	}
+	return ix.merge(dst, q, parts), nil
 }
 
-// scatter submits q's per-shard sub-queries to the shard engines and
-// returns the slot generations they were submitted to, so gather answers
-// and translates against exactly those — a compaction swap between submit
-// and merge cannot misdirect the local→global translation.
-func (ix *Index) scatter(q *core.Query) ([]*slot, []*engine.Future) {
+// part is one live shard's share of a query: the slot generation it runs
+// against, its sub-query, and what it answered. A query's parts are one
+// allocation.
+type part struct {
+	shard int
+	sl    *slot
+	q     core.Query
+	res   core.Result
+	err   error
+	dur   time.Duration // fork to answer, traced queries only
+}
+
+// run answers the part's sub-query; a nonzero start times it.
+func (p *part) run(start time.Time) {
+	p.res, p.err = p.sl.sub.Query(nil, &p.q)
+	if !start.IsZero() {
+		p.dur = time.Since(start)
+	}
+}
+
+// fork captures the live slot generations and derives each one's
+// sub-query, so the shards answer, and merge translates, against exactly
+// those generations — a compaction swap during the query cannot misdirect
+// the local→global translation.
+func (ix *Index) fork(q *core.Query) []part {
 	// Capture the slot generations and, for a filter, their l2g slice
 	// headers under one read lock: l2g is appended under the id-map write
 	// lock and append may reallocate the backing array, so reading the
@@ -387,83 +412,34 @@ func (ix *Index) scatter(q *core.Query) ([]*slot, []*engine.Future) {
 	// consistent with the mutation-atomicity contract (the query observes
 	// the index before that insert).
 	ix.mu.RLock()
-	slots := make([]*slot, len(ix.slots))
-	copy(slots, ix.slots)
-	var l2gs [][]int
-	if q.Keep != nil {
-		l2gs = make([][]int, len(slots))
-		for s, sl := range slots {
-			if sl != nil {
-				l2gs[s] = sl.l2g
-			}
-		}
-	}
-	ix.mu.RUnlock()
-
-	sub := *q
-	sub.Trace = nil
-	cold := q.ServesCold()
-	if q.Approx {
-		live := 0
-		for _, sl := range slots {
-			if sl != nil {
-				live++
-			}
-		}
-		if live > 1 {
-			sub.P = math.Pow(q.P, 1/float64(live))
-		}
-	}
-	futs := make([]*engine.Future, len(slots))
-	for s, sl := range slots {
+	parts := make([]part, 0, len(ix.slots))
+	for s, sl := range ix.slots {
 		if sl == nil {
 			continue
 		}
-		if q.Keep != nil {
-			l2g, keep := l2gs[s], q.Keep
-			sub.Keep = func(id int) bool { return id < len(l2g) && keep(l2g[id]) }
+		p := part{shard: s, sl: sl, q: *q}
+		p.q.Trace = nil
+		if keep := q.Keep; keep != nil {
+			l2g := sl.l2g
+			p.q.Keep = func(id int) bool { return id < len(l2g) && keep(l2g[id]) }
+		}
+		parts = append(parts, p)
+	}
+	ix.mu.RUnlock()
+
+	cold := q.ServesCold()
+	for i := range parts {
+		p := &parts[i]
+		if q.Approx && len(parts) > 1 {
+			p.q.P = math.Pow(q.P, 1/float64(len(parts)))
 		}
 		if cold {
-			if sub.Cold = sl.sub.HasColdTier(); !sub.Cold {
+			if p.q.Cold = p.sl.sub.HasColdTier(); !p.q.Cold {
 				ix.coldFallbacks.Add(1)
 			}
 		}
-		futs[s] = sl.eng.SubmitQuery(sub)
 	}
-	return slots, futs
-}
-
-// gather awaits the per-shard futures and merges their answers.
-func (ix *Index) gather(dst []topk.Item, q *core.Query, slots []*slot, futs []*engine.Future) (core.Result, error) {
-	perShard := make([]core.Result, len(futs))
-	var firstErr error
-	for s, f := range futs {
-		if f == nil {
-			continue
-		}
-		res, err := f.Wait()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		perShard[s] = res
-	}
-	if firstErr != nil {
-		return core.Result{}, firstErr
-	}
-	if q.Trace != nil {
-		for s, f := range futs {
-			if f != nil {
-				q.Trace.AddShard(obs.ShardSpan{
-					Shard:      s,
-					Queue:      f.QueueWait(),
-					Run:        f.RunTime(),
-					Items:      len(perShard[s].Items),
-					Candidates: perShard[s].Stats.Candidates,
-				})
-			}
-		}
-	}
-	return ix.merge(dst, q, slots, perShard), nil
+	return parts
 }
 
 // merge combines per-shard results into the global answer, appended to
@@ -471,26 +447,27 @@ func (ix *Index) gather(dst []topk.Item, q *core.Query, slots []*slot, futs []*e
 // local id — and local id order is global id order within a shard — so
 // sorting the union by (distance, global id) and, for kNN, truncating to K
 // reproduces exactly the answer a single index over all points would give.
-// Translation goes through the slots the query was scattered to, under the
+// Translation goes through the slots the query was forked to, under the
 // id-map read lock: a slot's l2g only ever grows within its generation (a
 // compaction installs a new slot object rather than touching the old one),
 // so the captured map is valid for every local id the old generation could
 // have answered with.
-func (ix *Index) merge(dst []topk.Item, q *core.Query, slots []*slot, perShard []core.Result) core.Result {
+func (ix *Index) merge(dst []topk.Item, q *core.Query, parts []part) core.Result {
 	var out core.Result
 	total := 0
-	for _, r := range perShard {
-		total += len(r.Items)
+	for i := range parts {
+		total += len(parts[i].res.Items)
 	}
 	all := slices.Grow(dst, total)
 
-	fl := firstLive(perShard)
+	fl := firstLive(parts)
 	ix.mu.RLock()
-	for s, r := range perShard {
-		for _, it := range r.Items {
-			all = append(all, topk.Item{ID: slots[s].l2g[it.ID], Score: it.Score})
+	for i := range parts {
+		p := &parts[i]
+		for _, it := range p.res.Items {
+			all = append(all, topk.Item{ID: p.sl.l2g[it.ID], Score: it.Score})
 		}
-		out.Stats = addStats(out.Stats, r.Stats, s == fl)
+		out.Stats = addStats(out.Stats, p.res.Stats, i == fl)
 	}
 	ix.mu.RUnlock()
 	if out.Stats.ApproxC == 0 {
@@ -509,12 +486,12 @@ func (ix *Index) merge(dst []topk.Item, q *core.Query, slots []*slot, perShard [
 	return out
 }
 
-// firstLive returns the index of the first shard that answered (its stats
+// firstLive returns the index of the first part that answered (its stats
 // seed the BoundTotal min).
-func firstLive(perShard []core.Result) int {
-	for s, r := range perShard {
-		if len(r.Items) > 0 || r.Stats.Candidates > 0 {
-			return s
+func firstLive(parts []part) int {
+	for i := range parts {
+		if r := &parts[i].res; len(r.Items) > 0 || r.Stats.Candidates > 0 {
+			return i
 		}
 	}
 	return 0
@@ -566,7 +543,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		ix.slots[s] = &slot{sub: sub, eng: ix.newEngine(sub)}
+		ix.slots[s] = &slot{sub: sub}
 		local = 0
 	} else {
 		var err error

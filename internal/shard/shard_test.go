@@ -279,3 +279,37 @@ func TestShardedErrors(t *testing.T) {
 		t.Fatal("out-of-range Delete returned true")
 	}
 }
+
+// TestShardedQueryAllocs pins what one exact, untraced, unfiltered query
+// over four built shards allocates: the per-query parts, the wait group
+// and one closure per forked shard, each shard's result items and the
+// merged answer. Queueing each shard's part on a per-shard engine would
+// add a future, a channel and a worker per shard, 24 allocations in all.
+func TestShardedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(9))
+	points := genPoints(rng, 400, 12)
+	sx, err := Build(bregman.ItakuraSaito{}, points, Options{Shards: 4, Core: core.Options{M: 3, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sl := range sx.snapshotSlots() {
+		if sl == nil {
+			t.Fatalf("shard %d is empty; the test needs four live shards", s)
+		}
+	}
+	q := &core.Query{Vec: points[17], K: 10}
+	if _, err := sx.Query(nil, q); err != nil { // warm each shard's pooled search context
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sx.Query(nil, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("sharded Query allocates %.1f times per call over 4 shards, want ≤ 12", allocs)
+	}
+}

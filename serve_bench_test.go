@@ -11,8 +11,11 @@ import (
 // loopback — client encode, keep-alive transport, admission, the
 // engine's scheduling and search, and response decode — with
 // one concurrent client goroutine per GOMAXPROCS (b.RunParallel), using
-// the binary protocol. Compare against BenchmarkSearchM8 for the pure
-// in-process cost; the delta is the serving overhead budget.
+// the binary protocol. It cycles 64 queries with no mutation, so it
+// times real searches only because the engine caches no results: with a
+// result cache every timed request would be answered from memory.
+// Compare against BenchmarkSearchM8 for the pure in-process cost; the
+// delta is the serving overhead budget.
 func BenchmarkServeLoopback(b *testing.B) {
 	url, _, _, _ := servingFixture(b, 2000)
 	queries := servingPoints(64, 8, 1234)

@@ -60,8 +60,8 @@ func WithRequestTimeout(def, max time.Duration) ServeOption {
 	return func(c *serveConfig) { c.server.Timeout, c.server.MaxTimeout = def, max }
 }
 
-// WithEngineConfig tunes each collection's query engine (workers,
-// result-cache size).
+// WithEngineConfig tunes each collection's query engine: how many
+// queries run at once.
 func WithEngineConfig(o EngineOptions) ServeOption {
 	return func(c *serveConfig) { c.server.Engine = o }
 }
