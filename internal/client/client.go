@@ -9,10 +9,11 @@
 // query to its engine as soon as the request is admitted, so a lone
 // Search never waits for batch-mates.
 //
-// Collection() scopes a client to one named collection on a
-// multi-tenant server; the unscoped methods address the "default"
-// collection over the pre-collections /v1 routes (and v1 binary
-// frames), so either side may be upgraded first.
+// The data ops are methods of Collection, a client scoped to one named
+// collection. Each builds one wire.Request and sends it through call,
+// which picks the protocol. Collection(wire.DefaultCollection) speaks
+// the pre-collections /v1 routes (and v1 binary frames), so either side
+// may be upgraded first.
 //
 // Failures surface as typed errors across both protocols: load-shed
 // (429) as ErrOverloaded with its Retry-After hint, per-collection
@@ -192,43 +193,16 @@ func decodeErrBody(out []byte) (codeName, msg string) {
 	return "", ""
 }
 
-// do posts body to path (the historical verb-specific helper).
-func (c *Client) do(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
-	return c.doReq(ctx, http.MethodPost, path, contentType, body)
-}
-
 func (c *Client) postJSON(ctx context.Context, path string, reqBody, respBody any) error {
 	raw, err := json.Marshal(reqBody)
 	if err != nil {
 		return err
 	}
-	out, err := c.do(ctx, path, "application/json", raw)
+	out, err := c.doReq(ctx, http.MethodPost, path, "application/json", raw)
 	if err != nil {
 		return err
 	}
 	return json.Unmarshal(out, respBody)
-}
-
-func (c *Client) frame(ctx context.Context, req wire.Request) (wire.Response, error) {
-	if req.TraceID == 0 {
-		req.TraceID = TraceIDFrom(ctx)
-	}
-	raw, err := wire.AppendRequest(nil, req)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	out, err := c.do(ctx, "/v1/frame", "application/octet-stream", raw)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	resp, err := wire.ReadResponse(bytes.NewReader(out))
-	if err != nil {
-		return wire.Response{}, err
-	}
-	if resp.Err != "" {
-		return wire.Response{}, sentinelErr(resp.Code.String(), resp.Err)
-	}
-	return resp, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -257,15 +231,59 @@ func (col *Collection) path(op string) string {
 	return "/v2/collections/" + url.PathEscape(col.name) + "/" + op
 }
 
-// Search returns the exact k nearest neighbours of q.
-func (col *Collection) Search(ctx context.Context, q []float64, k int) ([]wire.Item, error) {
-	results, err := col.searchOp(ctx, "search",
-		wire.SearchRequest{Q: q, K: k},
-		wire.Request{Op: wire.OpSearch, K: k, Queries: [][]float64{q}})
+// call sends one data op to this collection in the client's protocol and
+// returns the server's answer. A filter or tags have no binary encoding,
+// so a request carrying either goes as JSON whatever the protocol.
+func (col *Collection) call(ctx context.Context, req wire.Request) (wire.Response, error) {
+	req.Collection = col.name
+	bin := col.c.binary && req.Filter == nil && len(req.Tags) == 0
+	path, contentType := col.path(req.Op.Spec().Name), "application/json"
+	var raw []byte
+	var err error
+	if bin {
+		req.TraceID = TraceIDFrom(ctx)
+		path, contentType = "/v1/frame", "application/octet-stream"
+		raw, err = wire.AppendRequest(nil, req)
+	} else {
+		raw, err = json.Marshal(wire.JSONRequest(req))
+	}
+	if err != nil {
+		return wire.Response{}, err
+	}
+	out, err := col.c.doReq(ctx, http.MethodPost, path, contentType, raw)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	var resp wire.Response
+	if bin {
+		resp, err = wire.ReadResponse(bytes.NewReader(out))
+		if err == nil && resp.Err != "" {
+			err = sentinelErr(resp.Code.String(), resp.Err)
+		}
+	} else {
+		resp, err = wire.DecodeJSONResponse(req.Op, out)
+	}
+	if err != nil {
+		return wire.Response{}, err
+	}
+	if !req.Op.Spec().Mutation && len(resp.Results) != len(req.Queries) {
+		return wire.Response{}, fmt.Errorf("client: server answered %d results for %d queries", len(resp.Results), len(req.Queries))
+	}
+	return resp, nil
+}
+
+// items runs a one-query search-class request and returns its answer.
+func (col *Collection) items(ctx context.Context, req wire.Request) ([]wire.Item, error) {
+	resp, err := col.call(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return results[0].Items, nil
+	return resp.Results[0].Items, nil
+}
+
+// Search returns the exact k nearest neighbours of q.
+func (col *Collection) Search(ctx context.Context, q []float64, k int) ([]wire.Item, error) {
+	return col.items(ctx, wire.Request{Op: wire.OpSearch, K: k, Queries: [][]float64{q}})
 }
 
 // SearchFiltered returns the exact k nearest neighbours of q among only
@@ -276,150 +294,44 @@ func (col *Collection) SearchFiltered(ctx context.Context, q []float64, k int, f
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	var sr wire.SearchResponse
-	if err := col.c.postJSON(ctx, col.path("search"), wire.SearchRequest{Q: q, K: k, Filter: &f}, &sr); err != nil {
-		return nil, err
-	}
-	if len(sr.Results) != 1 {
-		return nil, fmt.Errorf("client: server answered %d results for 1 query", len(sr.Results))
-	}
-	return sr.Results[0].Items, nil
+	return col.items(ctx, wire.Request{Op: wire.OpSearch, K: k, Queries: [][]float64{q}, Filter: &f})
 }
 
 // BatchSearch submits all queries in one request; results arrive in
 // query order, each the exact kNN answer.
 func (col *Collection) BatchSearch(ctx context.Context, queries [][]float64, k int) ([]wire.Result, error) {
-	return col.searchOp(ctx, "search",
-		wire.SearchRequest{Queries: queries, K: k},
-		wire.Request{Op: wire.OpSearch, K: k, Queries: queries})
+	resp, err := col.call(ctx, wire.Request{Op: wire.OpSearch, K: k, Queries: queries})
+	return resp.Results, err
 }
 
 // SearchApprox returns k neighbours that are the exact kNN with
 // probability at least p ∈ (0,1].
 func (col *Collection) SearchApprox(ctx context.Context, q []float64, k int, p float64) ([]wire.Item, error) {
-	results, err := col.searchOp(ctx, "approx",
-		wire.SearchRequest{Q: q, K: k, P: p},
-		wire.Request{Op: wire.OpApprox, K: k, Param: p, Queries: [][]float64{q}})
-	if err != nil {
-		return nil, err
-	}
-	return results[0].Items, nil
+	return col.items(ctx, wire.Request{Op: wire.OpApprox, K: k, Param: p, Queries: [][]float64{q}})
 }
 
 // RangeSearch returns every point within distance r of q, ascending.
 func (col *Collection) RangeSearch(ctx context.Context, q []float64, r float64) ([]wire.Item, error) {
-	results, err := col.searchOp(ctx, "range",
-		wire.SearchRequest{Q: q, R: r},
-		wire.Request{Op: wire.OpRange, Param: r, Queries: [][]float64{q}})
-	if err != nil {
-		return nil, err
-	}
-	return results[0].Items, nil
-}
-
-// searchOp routes one search-class call through the configured protocol.
-func (col *Collection) searchOp(ctx context.Context, op string, jreq wire.SearchRequest, breq wire.Request) ([]wire.Result, error) {
-	want := len(breq.Queries)
-	var results []wire.Result
-	if col.c.binary {
-		breq.Collection = col.name
-		resp, err := col.c.frame(ctx, breq)
-		if err != nil {
-			return nil, err
-		}
-		results = resp.Results
-	} else {
-		var sr wire.SearchResponse
-		if err := col.c.postJSON(ctx, col.path(op), jreq, &sr); err != nil {
-			return nil, err
-		}
-		results = sr.Results
-	}
-	if len(results) != want {
-		return nil, fmt.Errorf("client: server answered %d results for %d queries", len(results), want)
-	}
-	return results, nil
+	return col.items(ctx, wire.Request{Op: wire.OpRange, Param: r, Queries: [][]float64{q}})
 }
 
 // Insert durably adds a point and returns its global id.
 func (col *Collection) Insert(ctx context.Context, p []float64) (int, error) {
-	if col.c.binary {
-		resp, err := col.c.frame(ctx, wire.Request{Op: wire.OpInsert, Collection: col.name, Queries: [][]float64{p}})
-		if err != nil {
-			return 0, err
-		}
-		return int(resp.Value), nil
-	}
-	var ir wire.InsertResponse
-	if err := col.c.postJSON(ctx, col.path("insert"), wire.InsertRequest{P: p}, &ir); err != nil {
-		return 0, err
-	}
-	return ir.ID, nil
+	return col.InsertTagged(ctx, p, nil)
 }
 
 // InsertTagged durably adds a point with metadata tags (the handles
 // filtered search matches on) and returns its global id. Tagged inserts
 // are JSON-only, like the filters that consume the tags.
 func (col *Collection) InsertTagged(ctx context.Context, p []float64, tags []string) (int, error) {
-	var ir wire.InsertResponse
-	if err := col.c.postJSON(ctx, col.path("insert"), wire.InsertRequest{P: p, Tags: tags}, &ir); err != nil {
-		return 0, err
-	}
-	return ir.ID, nil
+	resp, err := col.call(ctx, wire.Request{Op: wire.OpInsert, Queries: [][]float64{p}, Tags: tags})
+	return int(resp.Value), err
 }
 
 // Delete durably tombstones id, reporting whether it was live.
 func (col *Collection) Delete(ctx context.Context, id int) (bool, error) {
-	if col.c.binary {
-		resp, err := col.c.frame(ctx, wire.Request{Op: wire.OpDelete, Collection: col.name, ID: id})
-		if err != nil {
-			return false, err
-		}
-		return resp.Value == 1, nil
-	}
-	var dr wire.DeleteResponse
-	if err := col.c.postJSON(ctx, col.path("delete"), wire.DeleteRequest{ID: id}, &dr); err != nil {
-		return false, err
-	}
-	return dr.Deleted, nil
-}
-
-// ---------------------------------------------------------------------------
-// Default-collection convenience surface (the pre-collections API).
-// ---------------------------------------------------------------------------
-
-func (c *Client) def() *Collection { return c.Collection(wire.DefaultCollection) }
-
-// Search returns the exact k nearest neighbours of q.
-func (c *Client) Search(ctx context.Context, q []float64, k int) ([]wire.Item, error) {
-	return c.def().Search(ctx, q, k)
-}
-
-// BatchSearch submits all queries in one request; results arrive in
-// query order, each the exact kNN answer.
-func (c *Client) BatchSearch(ctx context.Context, queries [][]float64, k int) ([]wire.Result, error) {
-	return c.def().BatchSearch(ctx, queries, k)
-}
-
-// SearchApprox returns k neighbours that are the exact kNN with
-// probability at least p ∈ (0,1].
-func (c *Client) SearchApprox(ctx context.Context, q []float64, k int, p float64) ([]wire.Item, error) {
-	return c.def().SearchApprox(ctx, q, k, p)
-}
-
-// RangeSearch returns every point within distance r of q, ascending.
-func (c *Client) RangeSearch(ctx context.Context, q []float64, r float64) ([]wire.Item, error) {
-	return c.def().RangeSearch(ctx, q, r)
-}
-
-// Insert durably adds a point and returns its global id.
-func (c *Client) Insert(ctx context.Context, p []float64) (int, error) {
-	return c.def().Insert(ctx, p)
-}
-
-// Delete durably tombstones id, reporting whether it was live.
-func (c *Client) Delete(ctx context.Context, id int) (bool, error) {
-	return c.def().Delete(ctx, id)
+	resp, err := col.call(ctx, wire.Request{Op: wire.OpDelete, ID: id})
+	return resp.Value == 1, err
 }
 
 // ---------------------------------------------------------------------------
@@ -477,58 +389,20 @@ func (c *Client) DropCollection(ctx context.Context, name string) error {
 // Admin.
 // ---------------------------------------------------------------------------
 
-// adminPath scopes an admin route to a collection ("" = unscoped:
-// single-collection servers answer for their one index, multi-collection
-// servers sweep).
-func adminPath(op, collection string) string {
-	if collection == "" {
-		return "/admin/" + op
-	}
-	return "/admin/" + op + "?collection=" + url.QueryEscape(collection)
-}
-
 // Reload asks the server to checkpoint and hot-swap its snapshot,
-// returning the post-swap admin view.
+// returning the post-swap admin view. Unscoped, a single-collection
+// server answers for its one index.
 func (c *Client) Reload(ctx context.Context) (wire.AdminResponse, error) {
 	var ar wire.AdminResponse
-	err := c.postJSON(ctx, adminPath("reload", ""), struct{}{}, &ar)
+	err := c.postJSON(ctx, "/admin/reload", struct{}{}, &ar)
 	return ar, err
 }
 
 // Checkpoint asks the server to fold its WAL into the snapshot.
 func (c *Client) Checkpoint(ctx context.Context) (wire.AdminResponse, error) {
 	var ar wire.AdminResponse
-	err := c.postJSON(ctx, adminPath("checkpoint", ""), struct{}{}, &ar)
+	err := c.postJSON(ctx, "/admin/checkpoint", struct{}{}, &ar)
 	return ar, err
-}
-
-// ReloadCollection hot-swaps one collection's snapshot.
-func (c *Client) ReloadCollection(ctx context.Context, name string) (wire.AdminResponse, error) {
-	var ar wire.AdminResponse
-	err := c.postJSON(ctx, adminPath("reload", name), struct{}{}, &ar)
-	return ar, err
-}
-
-// CheckpointCollection folds one collection's WAL into its snapshot.
-func (c *Client) CheckpointCollection(ctx context.Context, name string) (wire.AdminResponse, error) {
-	var ar wire.AdminResponse
-	err := c.postJSON(ctx, adminPath("checkpoint", name), struct{}{}, &ar)
-	return ar, err
-}
-
-// ReloadAll sweeps a hot snapshot reload across every collection,
-// reporting each outcome (a failed collection never strands the rest).
-func (c *Client) ReloadAll(ctx context.Context) (wire.AdminSweepResponse, error) {
-	var sr wire.AdminSweepResponse
-	err := c.postJSON(ctx, adminPath("reload", ""), struct{}{}, &sr)
-	return sr, err
-}
-
-// CheckpointAll sweeps a checkpoint across every collection.
-func (c *Client) CheckpointAll(ctx context.Context) (wire.AdminSweepResponse, error) {
-	var sr wire.AdminSweepResponse
-	err := c.postJSON(ctx, adminPath("checkpoint", ""), struct{}{}, &sr)
-	return sr, err
 }
 
 // Health fetches the server's /healthz view. A degraded server

@@ -78,7 +78,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 		defer c.Close()
 
 		for _, q := range queries {
-			got, err := c.Search(ctx, q, k)
+			got, err := c.Collection(wire.DefaultCollection).Search(ctx, q, k)
 			if err != nil {
 				t.Fatalf("binary=%v: %v", binary, err)
 			}
@@ -87,7 +87,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 			}
 		}
 
-		batch, err := c.BatchSearch(ctx, queries, k)
+		batch, err := c.Collection(wire.DefaultCollection).BatchSearch(ctx, queries, k)
 		if err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
 		}
@@ -100,7 +100,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 			}
 		}
 
-		if got, err := c.SearchApprox(ctx, queries[0], k, 1); err != nil {
+		if got, err := c.Collection(wire.DefaultCollection).SearchApprox(ctx, queries[0], k, 1); err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
 		} else if want := wantItems(t, oracle, queries[0], k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("binary=%v: approx p=1 drifted", binary)
@@ -110,7 +110,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.RangeSearch(ctx, queries[0], 2.0)
+		got, err := c.Collection(wire.DefaultCollection).RangeSearch(ctx, queries[0], 2.0)
 		if err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
 		}
@@ -119,7 +119,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 		}
 
 		// Bad input surfaces the server's message, not a silent empty.
-		if _, err := c.Search(ctx, queries[0][:2], k); err == nil {
+		if _, err := c.Collection(wire.DefaultCollection).Search(ctx, queries[0][:2], k); err == nil {
 			t.Fatalf("binary=%v: bad-dim search succeeded", binary)
 		}
 	}
@@ -134,14 +134,14 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 	if h.N != len(pts) || h.Dim != 9 {
 		t.Fatalf("health: %+v", h)
 	}
-	id, err := c.Insert(ctx, pts[0])
+	id, err := c.Collection(wire.DefaultCollection).Insert(ctx, pts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != len(pts) {
 		t.Fatalf("insert id = %d, want %d", id, len(pts))
 	}
-	deleted, err := c.Delete(ctx, id)
+	deleted, err := c.Collection(wire.DefaultCollection).Delete(ctx, id)
 	if err != nil || !deleted {
 		t.Fatalf("delete: %v %v", deleted, err)
 	}
@@ -152,7 +152,7 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 		t.Fatalf("reload: %+v %v", ar, err)
 	}
 	// Post-reload searches still match.
-	if got, err := c.Search(ctx, queries[0], k); err != nil {
+	if got, err := c.Collection(wire.DefaultCollection).Search(ctx, queries[0], k); err != nil {
 		t.Fatal(err)
 	} else if want := wantItems(t, oracle, queries[0], k); !reflect.DeepEqual(got, want) {
 		t.Fatal("post-reload search drifted")
@@ -161,11 +161,11 @@ func TestClientBothProtocolsOracle(t *testing.T) {
 	// Binary mutations too.
 	cb := New(ts.URL, Options{Binary: true})
 	defer cb.Close()
-	id2, err := cb.Insert(ctx, pts[1])
+	id2, err := cb.Collection(wire.DefaultCollection).Insert(ctx, pts[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deleted, err := cb.Delete(ctx, id2); err != nil || !deleted {
+	if deleted, err := cb.Collection(wire.DefaultCollection).Delete(ctx, id2); err != nil || !deleted {
 		t.Fatalf("binary delete: %v %v", deleted, err)
 	}
 }
@@ -182,7 +182,7 @@ func TestClientOverloadTyped(t *testing.T) {
 	defer stub.Close()
 	c := New(stub.URL, Options{})
 	defer c.Close()
-	_, err := c.Search(context.Background(), []float64{1}, 1)
+	_, err := c.Collection(wire.DefaultCollection).Search(context.Background(), []float64{1}, 1)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -201,7 +201,7 @@ func TestClientDeadlineTyped(t *testing.T) {
 	defer stub.Close()
 	c := New(stub.URL, Options{})
 	defer c.Close()
-	if _, err := c.Search(context.Background(), []float64{1}, 1); !errors.Is(err, ErrDeadline) {
+	if _, err := c.Collection(wire.DefaultCollection).Search(context.Background(), []float64{1}, 1); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 }

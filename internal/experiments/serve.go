@@ -17,6 +17,7 @@ import (
 	"brepartition/internal/engine"
 	"brepartition/internal/server"
 	"brepartition/internal/shard"
+	"brepartition/internal/wire"
 )
 
 // Serve measures the breserved serving stack under OPEN-LOOP load — the
@@ -71,7 +72,7 @@ func (e *Env) Serve(workers int) []Table {
 
 	// Calibrate capacity with a short closed-loop burst, then ladder the
 	// offered rate from comfortable to ~4x capacity.
-	capacityQPS := calibrate(cl, queries, k)
+	capacityQPS := calibrate(cl.Collection(wire.DefaultCollection), queries, k)
 	rates := []float64{0.5 * capacityQPS, capacityQPS, 2 * capacityQPS, 4 * capacityQPS}
 
 	tbl := Table{
@@ -80,7 +81,7 @@ func (e *Env) Serve(workers int) []Table {
 		Header: []string{"offered QPS", "achieved QPS", "shed rate", "failed", "not sent", "p50", "p99"},
 	}
 	for _, rate := range rates {
-		res := openLoop(cl, queries, k, rate, 700*time.Millisecond)
+		res := openLoop(cl.Collection(wire.DefaultCollection), queries, k, rate, 700*time.Millisecond)
 		if res.failed > 0 && rate <= capacityQPS {
 			panic(fmt.Sprintf("serve: %d requests failed at %.0f offered QPS, within capacity: %v",
 				res.failed, rate, res.firstErr))
@@ -100,7 +101,7 @@ func (e *Env) Serve(workers int) []Table {
 
 // calibrate estimates the box's closed-loop serving capacity with a
 // short saturated burst.
-func calibrate(cl *client.Client, queries [][]float64, k int) float64 {
+func calibrate(col *client.Collection, queries [][]float64, k int) float64 {
 	const dur = 300 * time.Millisecond
 	var done atomic.Int64
 	stop := make(chan struct{})
@@ -115,7 +116,7 @@ func calibrate(cl *client.Client, queries [][]float64, k int) float64 {
 					return
 				default:
 				}
-				if _, err := cl.Search(context.Background(), queries[(w+i)%len(queries)], k); err == nil {
+				if _, err := col.Search(context.Background(), queries[(w+i)%len(queries)], k); err == nil {
 					done.Add(1)
 				}
 			}
@@ -147,7 +148,7 @@ const maxOutstanding = 256
 // openLoop fires requests at the offered rate for dur, never waiting for
 // completions (each request runs on its own goroutine, up to
 // maxOutstanding at once), and reports what the server actually absorbed.
-func openLoop(cl *client.Client, queries [][]float64, k int, rate float64, dur time.Duration) openLoopResult {
+func openLoop(col *client.Collection, queries [][]float64, k int, rate float64, dur time.Duration) openLoopResult {
 	interval := time.Duration(float64(time.Second) / rate)
 	if interval <= 0 {
 		interval = time.Nanosecond
@@ -182,7 +183,7 @@ loop:
 			go func() {
 				defer func() { <-slots; wg.Done() }()
 				t0 := time.Now()
-				_, err := cl.Search(context.Background(), q, k)
+				_, err := col.Search(context.Background(), q, k)
 				lat := time.Since(t0)
 				mu.Lock()
 				defer mu.Unlock()

@@ -70,7 +70,7 @@ func (e *Env) Trace(workers int) []Table {
 	n := 0
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			if _, err := cl.Search(context.Background(), q, k); err != nil {
+			if _, err := cl.Collection(wire.DefaultCollection).Search(context.Background(), q, k); err != nil {
 				panic(fmt.Sprintf("trace: %v", err))
 			}
 			n++

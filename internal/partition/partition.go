@@ -314,6 +314,17 @@ func FitCostModel(div bregman.Divergence, points [][]float64, samples int, seed 
 		scan = 1500
 	}
 	scanIdx := rng.Perm(n)[:scan]
+	// D(x, y) = Σⱼ φ(xⱼ) − φ(yⱼ) − φ′(yⱼ)(xⱼ − yⱼ), as bregman.Distance
+	// sums it, but with φ(x) evaluated once per scanned point and φ(y),
+	// φ′(y) once per sample instead of once per (sample, point) pair.
+	phiX := make([]float64, scan*d)
+	for i, id := range scanIdx {
+		for j, v := range points[id] {
+			phiX[i*d+j] = div.Phi(v)
+		}
+	}
+	phiY := make([]float64, d)
+	gradY := make([]float64, d)
 	var betaSum float64
 	var betaCnt int
 	for s := 0; s < samples; s++ {
@@ -324,9 +335,17 @@ func FitCostModel(div bregman.Divergence, points [][]float64, samples int, seed 
 		if ub <= 0 {
 			continue
 		}
+		for j, v := range y {
+			phiY[j], gradY[j] = div.Phi(v), div.Grad(v)
+		}
 		within := 0
-		for _, id := range scanIdx {
-			if bregman.Distance(div, points[id], y) <= ub {
+		for i, id := range scanIdx {
+			px, p := phiX[i*d:(i+1)*d], points[id]
+			var dist float64
+			for j := range p {
+				dist += px[j] - phiY[j] - gradY[j]*(p[j]-y[j])
+			}
+			if max(dist, 0) <= ub {
 				within++
 			}
 		}

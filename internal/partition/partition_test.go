@@ -292,3 +292,43 @@ func TestTheoremMDegenerateModel(t *testing.T) {
 		t.Fatalf("degenerate model derived M=%d, want 1", m)
 	}
 }
+
+// TestFitCostModelGoldenBits pins (A, α, β) bit for bit for every
+// divergence bregman.All lists, on 1 700 points so the β scan runs at its
+// 1 500-point cap. The β loop evaluates φ(x) once per scanned point and
+// φ(y), φ′(y) once per sample; summing the same terms in the same order as
+// bregman.Distance must leave every bit where it was.
+func TestFitCostModelGoldenBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pts := make([][]float64, 1700)
+	for i := range pts {
+		pts[i] = make([]float64, 24)
+		for j := range pts[i] {
+			pts[i][j] = 0.2 + 1.8*rng.Float64()
+		}
+	}
+	golden := map[string][3]uint64{
+		"l2":          {0x406268ad4cd3e9f9, 0x3fefe4c99aa39b91, 0x3f7c844f650ae306},
+		"mahalanobis": {0x406b9d03f33ddef3, 0x3fefe4c99aa39b91, 0x3f7302df98b1ecae},
+		"is":          {0x403612d31e90b7c1, 0x3feec15930da239f, 0x3fabbce598e2ae9e},
+		"exp":         {0x406cdaa74b264bcd, 0x3fefdf7362ce64cd, 0x3f724db0647cbb7a},
+		"gkl":         {0x4037aa231118f3ac, 0x3fefaba215afaf4a, 0x3fa6b23e47745c65},
+		"shannon":     {0x4050d691e476c76f, 0x3fefe5c3865e7419, 0x3f8f3284152baa3e},
+		"burg":        {0x403ecfd613f57cd3, 0x3feef7986daf234d, 0x3fa29398d97e7114},
+		"lp3":         {0x405c3b6a12ce7c3a, 0x3fefd04b251830e9, 0x3f830f27a7808d61},
+	}
+	for _, div := range bregman.All() {
+		want, ok := golden[div.Name()]
+		if !ok {
+			t.Fatalf("no golden bits for %s", div.Name())
+		}
+		m, err := FitCostModel(div, pts, 20, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3]uint64{math.Float64bits(m.A), math.Float64bits(m.Alpha), math.Float64bits(m.Beta)}
+		if got != want {
+			t.Errorf("%s: (A, α, β) bits %#x, want %#x", div.Name(), got, want)
+		}
+	}
+}

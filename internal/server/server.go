@@ -1,34 +1,38 @@
 // Package server is the breserved network serving layer: it puts named
 // collections — independent durable sharded BrePartition indexes — behind
-// one HTTP process with the things a production front-end needs beyond
-// marshalling:
+// one HTTP process.
 //
-//   - multi-tenant collections: /v2/collections/{name}/... routes address
-//     independent indexes, each with its own divergence, geometry, shard
-//     layout, tag store, engine, maintainer, and admission quota;
-//     /v2/collections CRUD creates and drops them live. The /v1 routes
-//     remain a thin delegation to the "default" collection, so
-//     pre-collections clients keep working bit-identically;
-//   - one serving path: every search request, JSON or binary, single or
-//     batch, of any query shape, passes the same admission function and
-//     is submitted to its collection's engine the moment it is admitted —
-//     there is no batching window;
+// One request shape. The five data ops (search, approx, range, insert,
+// delete) are rows of wire.Ops, registered by one loop on /v1/{op} (the
+// "default" collection) and /v2/collections/{name}/{op}; /v1/frame carries
+// all five in the binary protocol of internal/wire, whose frames name
+// their collection. Either protocol decodes into a wire.Request, passes
+// the one admission function (admit: the op's class gate, the deadline,
+// the collection lookup, its quota, a stage trace for search-class ops)
+// and runs in serveOp, which is the only place a request reaches a
+// collection's engine. The answer is encoded in the request's own
+// protocol: JSON body or response frame, and errors as the same HTTP
+// status and wire error code on both. A filter (exact search) or tags
+// (insert) have no binary encoding, so those requests are JSON-only.
+//
+// Beyond that one path:
+//
+//   - multi-tenant collections: each has its own divergence, geometry,
+//     shard layout, tag store, engine, maintainer and admission quota;
+//     /v2/collections CRUD creates and drops them live;
 //   - admission control: global per-class bounded in-flight gates (search,
 //     mutation, admin) shed excess load with 429 + Retry-After, and each
 //     collection may carry its own quota (spec.Quota) shedding with the
-//     "quota" error code so one noisy tenant cannot starve the rest;
-//   - filtered search: a JSON search carrying a tag filter answers the
-//     exact top-k over only matching points — the predicate is pushed into
-//     the leaf scan, never applied after the fact;
+//     "quota" error code so one noisy tenant cannot starve the rest. Every
+//     search is submitted to its engine the moment it is admitted; there
+//     is no batching window;
+//   - filtered search: the tag predicate is pushed into the leaf scan,
+//     never applied after the fact;
 //   - observability and operability: /metrics with per-collection labels,
 //     /healthz, and collection-scoped /admin/{reload,checkpoint,compact}
 //     (?collection=name); the unscoped form sweeps every collection and
 //     reports per-collection outcomes, one failure never stranding the
 //     rest.
-//
-// Wire surface: compact JSON on per-route endpoints plus the
-// length-prefixed binary protocol of internal/wire on /v1/frame, whose v2
-// frames carry a collection name (v1 frames route to "default").
 package server
 
 import (
@@ -38,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -307,34 +310,28 @@ func newServer(reg *collection.Registry, cfg Config) *Server {
 		slowLogger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	s.slow = &obs.SlowLog{Threshold: cfg.SlowQueryThreshold, Logger: slowLogger}
-	s.m.requests = newRouteCounters(
-		"search", "approx", "range", "insert", "delete", "frame",
-		"reload", "checkpoint", "compact",
-		"collections", "create", "drop")
 	s.mux = http.NewServeMux()
 
-	// v1: the pre-collections surface, a thin delegation to "default".
-	s.mux.HandleFunc("POST /v1/search", s.route("search", s.searchGate, s.forDefault("search", s.handleSearch)))
-	s.mux.HandleFunc("POST /v1/approx", s.route("approx", s.searchGate, s.forDefault("approx", s.handleApprox)))
-	s.mux.HandleFunc("POST /v1/range", s.route("range", s.searchGate, s.forDefault("range", s.handleRange)))
-	s.mux.HandleFunc("POST /v1/insert", s.route("insert", s.mutGate, s.forDefault("insert", s.handleInsert)))
-	s.mux.HandleFunc("POST /v1/delete", s.route("delete", s.mutGate, s.forDefault("delete", s.handleDelete)))
+	// The data ops, each on two routes: /v1 serves the default collection,
+	// /v2 the named one. /v1/frame carries all five in binary.
+	routes := []string{"frame", "reload", "checkpoint", "compact", "collections", "create", "drop"}
+	for _, op := range wire.Ops {
+		s.mux.HandleFunc("POST /v1/"+op.Name, s.handleJSON(op))
+		s.mux.HandleFunc("POST /v2/collections/{name}/"+op.Name, s.handleJSON(op))
+		routes = append(routes, op.Name)
+	}
+	s.m.requests = newRouteCounters(routes...)
 	s.mux.HandleFunc("POST /v1/frame", s.handleFrame)
 
-	// v2: named-collection serving + CRUD.
-	s.mux.HandleFunc("POST /v2/collections/{name}/search", s.route("search", s.searchGate, s.forNamed("search", s.handleSearch)))
-	s.mux.HandleFunc("POST /v2/collections/{name}/approx", s.route("approx", s.searchGate, s.forNamed("approx", s.handleApprox)))
-	s.mux.HandleFunc("POST /v2/collections/{name}/range", s.route("range", s.searchGate, s.forNamed("range", s.handleRange)))
-	s.mux.HandleFunc("POST /v2/collections/{name}/insert", s.route("insert", s.mutGate, s.forNamed("insert", s.handleInsert)))
-	s.mux.HandleFunc("POST /v2/collections/{name}/delete", s.route("delete", s.mutGate, s.forNamed("delete", s.handleDelete)))
+	// Collection CRUD.
 	s.mux.HandleFunc("GET /v2/collections", s.handleList)
 	s.mux.HandleFunc("GET /v2/collections/{name}", s.handleInfo)
-	s.mux.HandleFunc("PUT /v2/collections/{name}", s.route("create", s.adminGate, s.handleCreate))
-	s.mux.HandleFunc("DELETE /v2/collections/{name}", s.route("drop", s.adminGate, s.handleDrop))
+	s.mux.HandleFunc("PUT /v2/collections/{name}", s.route("create", s.handleCreate))
+	s.mux.HandleFunc("DELETE /v2/collections/{name}", s.route("drop", s.handleDrop))
 
-	s.mux.HandleFunc("POST /admin/reload", s.route("reload", s.adminGate, s.handleReload))
-	s.mux.HandleFunc("POST /admin/checkpoint", s.route("checkpoint", s.adminGate, s.handleCheckpoint))
-	s.mux.HandleFunc("POST /admin/compact", s.route("compact", s.adminGate, s.handleCompact))
+	s.mux.HandleFunc("POST /admin/reload", s.route("reload", s.handleReload))
+	s.mux.HandleFunc("POST /admin/checkpoint", s.route("checkpoint", s.handleCheckpoint))
+	s.mux.HandleFunc("POST /admin/compact", s.route("compact", s.handleCompact))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -415,60 +412,21 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// route wraps a handler with the shared per-request plumbing: request
-// counting, admission through the global class gate, and the deadline
-// context.
-func (s *Server) route(name string, g *gate, h func(w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
+// route wraps an admin or CRUD handler with the shared per-request
+// plumbing: request counting, admission through the admin gate, and the
+// deadline context. Data ops are admitted by admit.
+func (s *Server) route(name string, h func(w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.m.requests.inc(name)
-		if !g.tryAcquire() {
-			s.shed(w)
+		if !s.adminGate.tryAcquire() {
+			s.writeError(w, errOverloaded)
 			return
 		}
-		defer g.release()
+		defer s.adminGate.release()
 		ctx, cancel := s.deadline(r)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
-}
-
-// forDefault resolves the default collection for the v1 surface.
-func (s *Server) forDefault(op string, h func(tn *tenant, w http.ResponseWriter, r *http.Request)) func(w http.ResponseWriter, r *http.Request) {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.dispatch(wire.DefaultCollection, op, h, w, r)
-	}
-}
-
-// forNamed resolves the {name} path collection for the v2 surface.
-func (s *Server) forNamed(op string, h func(tn *tenant, w http.ResponseWriter, r *http.Request)) func(w http.ResponseWriter, r *http.Request) {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.dispatch(r.PathValue("name"), op, h, w, r)
-	}
-}
-
-// searchClass reports whether op is a search-class operation — the ones
-// that get stage traces and duration histograms (mutations and admin
-// have no stage pipeline to attribute time to).
-func searchClass(op string) bool {
-	return op == "search" || op == "approx" || op == "range"
-}
-
-// frameOp maps a binary op to the same op vocabulary the JSON routes
-// use for traces and the slow-query log.
-func frameOp(op wire.Op) string {
-	switch op {
-	case wire.OpSearch:
-		return "search"
-	case wire.OpApprox:
-		return "approx"
-	case wire.OpRange:
-		return "range"
-	case wire.OpInsert:
-		return "insert"
-	case wire.OpDelete:
-		return "delete"
-	}
-	return "frame"
 }
 
 // startTrace decides one search-class request's trace: a client-forced
@@ -523,41 +481,41 @@ func (s *Server) finishTrace(tn *tenant, op string, tr *obs.Trace, start time.Ti
 	tr.Release()
 }
 
-// dispatch routes one gate-admitted JSON request to its collection's
-// pipeline through admit; a traced request echoes its id in X-Trace-Id.
-func (s *Server) dispatch(name, op string, h func(tn *tenant, w http.ResponseWriter, r *http.Request), w http.ResponseWriter, r *http.Request) {
-	tn, err := s.tenant(name)
-	if err != nil {
-		s.writeError(w, err)
+// admit is the one admission path of every data-op request, JSON or
+// binary. It passes the request through its op's global class gate, sets
+// the request deadline, resolves the collection, counts the request
+// against it, passes its quota under the deadline, and calls serve. Any
+// refusal goes to fail, which answers in the request's own protocol. A
+// search-class request may pick up a stage trace here (forced is a
+// client-sent trace id): created before the quota wait so StageAdmission
+// covers it, carried to serve in the request context, and released (after
+// histograms and the slow-query log) when serve returns.
+func (s *Server) admit(op wire.OpSpec, name string, forced uint64, r *http.Request, fail func(error), serve func(tn *tenant, r *http.Request)) {
+	g := s.searchGate
+	if op.Mutation {
+		g = s.mutGate
+	}
+	if !g.tryAcquire() {
+		fail(errOverloaded)
 		return
 	}
-	fail := func(err error) { s.writeError(w, err) }
-	s.admit(tn, op, headerTraceID(r), r, fail, func(r *http.Request) {
-		if tr := obs.From(r.Context()); tr != nil {
-			w.Header().Set("X-Trace-Id", fmt.Sprintf("%016x", tr.ID()))
-		}
-		h(tn, w, r)
-	})
-}
-
-// admit is the one admission path of every collection-routed request,
-// JSON or binary. It counts the request against its collection, passes
-// it through the collection's quota under the request deadline, and
-// calls serve; a quota failure goes to fail, which answers in the
-// request's own protocol. A search-class request may pick up a stage
-// trace here (forced is a client-sent trace id) — created before the
-// quota wait so StageAdmission covers it, carried to serve in the
-// request context, and released (after histograms and the slow-query
-// log) when serve returns.
-func (s *Server) admit(tn *tenant, op string, forced uint64, r *http.Request, fail func(error), serve func(r *http.Request)) {
+	defer g.release()
+	ctx, cancel := s.deadline(r)
+	defer cancel()
+	r = r.WithContext(ctx)
+	tn, err := s.tenant(name)
+	if err != nil {
+		fail(err)
+		return
+	}
 	tn.requests.Add(1)
 	var tr *obs.Trace
 	var start time.Time
 	shed := false
-	if searchClass(op) {
+	if !op.Mutation {
 		start = time.Now()
 		tr = s.startTrace(forced)
-		defer func() { s.finishTrace(tn, op, tr, start, shed) }()
+		defer func() { s.finishTrace(tn, op.Name, tr, start, shed) }()
 	}
 	if tn.quota != nil {
 		if err := tn.quota.acquire(r.Context()); err != nil {
@@ -574,7 +532,7 @@ func (s *Server) admit(tn *tenant, op string, forced uint64, r *http.Request, fa
 		tr.AddSpan(obs.StageAdmission, time.Since(start))
 		r = r.WithContext(obs.NewContext(r.Context(), tr))
 	}
-	serve(r)
+	serve(tn, r)
 }
 
 // deadline derives the per-request context: X-Timeout-Ms overrides the
@@ -600,19 +558,13 @@ func (s *Server) retryAfterSecs() string {
 	return strconv.Itoa(secs)
 }
 
-// shed answers a global-gate load-shed: 429 with a whole-seconds
-// Retry-After hint, the contract well-behaved clients key on.
-func (s *Server) shed(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", s.retryAfterSecs())
-	writeJSON(w, http.StatusTooManyRequests, wire.ErrorResponse{
-		Error: "overloaded: in-flight limit reached, retry later",
-		Code:  wire.CodeOverloaded.String(),
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Errors.
 // ---------------------------------------------------------------------------
+
+// errOverloaded is a global class gate's load-shed: 429 with a
+// whole-seconds Retry-After hint, the contract well-behaved clients key on.
+var errOverloaded = errors.New("overloaded: in-flight limit reached, retry later")
 
 // classify maps an error to its HTTP status and wire error code — the one
 // vocabulary both protocols and the client reconstruct sentinels from.
@@ -626,6 +578,8 @@ func (s *Server) classify(err error) (int, wire.ErrCode) {
 		return http.StatusBadRequest, wire.CodeBadFilter
 	case errors.Is(err, wire.ErrQuota):
 		return http.StatusTooManyRequests, wire.CodeQuota
+	case errors.Is(err, errOverloaded):
+		return http.StatusTooManyRequests, wire.CodeOverloaded
 	case errors.Is(err, wire.ErrBadCollection):
 		return http.StatusBadRequest, wire.CodeBadCollection
 	case errors.Is(err, core.ErrDim), errors.Is(err, core.ErrK),
@@ -659,7 +613,8 @@ func badRequest(w http.ResponseWriter, msg string) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON handlers.
+// Data ops: each protocol decodes into a wire.Request, serveOp runs it, and
+// the answer is encoded in the request's own protocol.
 // ---------------------------------------------------------------------------
 
 // maxJSONBody bounds a JSON request body (same trust boundary as
@@ -683,77 +638,109 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request) {
-	var req wire.SearchRequest
-	if !readJSON(w, r, &req) {
+// handleJSON serves op's JSON route for the collection the path names (the
+// /v1 routes name none: the default collection). The body is decoded
+// after admission, and a traced request echoes its id in X-Trace-Id.
+func (s *Server) handleJSON(op wire.OpSpec) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.m.requests.inc(op.Name)
+		name := r.PathValue("name")
+		if name == "" {
+			name = wire.DefaultCollection
+		}
+		fail := func(err error) { s.writeError(w, err) }
+		s.admit(op, name, headerTraceID(r), r, fail, func(tn *tenant, r *http.Request) {
+			if tr := obs.From(r.Context()); tr != nil {
+				w.Header().Set("X-Trace-Id", fmt.Sprintf("%016x", tr.ID()))
+			}
+			req, err := wire.DecodeJSON(op.Op, http.MaxBytesReader(w, r.Body, maxJSONBody))
+			var resp wire.Response
+			if err == nil {
+				resp, err = s.serveOp(tn, r, req)
+			}
+			if err != nil {
+				fail(err)
+				return
+			}
+			writeJSON(w, http.StatusOK, wire.JSONResponse(resp))
+		})
+	}
+}
+
+// handleFrame serves the binary protocol: one endpoint, every data op,
+// collection-routed by the frame's name field.
+func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
+	s.m.requests.inc("frame")
+	req, err := wire.ReadRequest(io.LimitReader(r.Body, wire.MaxFrame+4))
+	if err != nil {
+		writeErrorFrame(w, 0, http.StatusBadRequest, wire.CodeBadRequest, err)
 		return
 	}
-	queries, ok := normalizeQueries(w, req)
-	if !ok {
-		return
-	}
-	proto := core.Query{K: req.K}
-	if req.Filter != nil {
-		// The predicate rides into the leaf scan (pre-filtered pruning
-		// radii, never a post-filter).
-		var err error
-		if proto.Keep, err = tn.col.Predicate(req.Filter); err != nil {
-			s.writeError(w, err)
+	fail := func(err error) { s.writeFrameError(w, req.Op, err) }
+	s.admit(req.Op.Spec(), req.Collection, req.TraceID, r, fail, func(tn *tenant, r *http.Request) {
+		resp, err := s.serveOp(tn, r, req)
+		if err != nil {
+			fail(err)
 			return
 		}
-	}
-	results, err := s.queryMany(tn, r, queries, proto)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.SearchResponse{Results: results})
+		// Echo only the id the client sent: a sampler- or slow-log-initiated
+		// trace stays server-internal, so trace-unaware v2 clients never see
+		// the v3 flags bit on their responses.
+		resp.TraceID = req.TraceID
+		frame, err := wire.AppendResponse(nil, resp)
+		if err != nil {
+			writeErrorFrame(w, req.Op, http.StatusInternalServerError, wire.CodeGeneric, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
+		w.Write(frame)
+	})
 }
 
-// normalizeQueries folds the single-vs-batch JSON shape into one query
-// list of bounded length.
-func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float64, bool) {
-	if (req.Q == nil) == (req.Queries == nil) {
-		badRequest(w, `exactly one of "q" and "queries" must be set`)
-		return nil, false
-	}
-	queries := req.Queries
-	if req.Q != nil {
-		queries = [][]float64{req.Q}
-	}
-	if len(queries) == 0 || len(queries) > wire.MaxBatch {
-		badRequest(w, fmt.Sprintf("need between 1 and %d queries, got %d", wire.MaxBatch, len(queries)))
-		return nil, false
-	}
-	return queries, true
-}
-
-// finite rejects NaN and ±Inf coordinates at the trust boundary: no
-// divergence domain admits them, and a NaN would poison every distance it
-// meets.
-func finite(vecs ...[]float64) error {
-	for _, q := range vecs {
-		for _, v := range q {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: non-finite coordinate", wire.ErrFrame)
+// serveOp runs one admitted data op against its collection. The wire
+// decoders have already refused non-finite coordinates and parameters.
+func (s *Server) serveOp(tn *tenant, r *http.Request, req wire.Request) (wire.Response, error) {
+	resp := wire.Response{Op: req.Op}
+	var err error
+	switch req.Op {
+	case wire.OpSearch:
+		// A filter rides into the leaf scan (pre-filtered pruning radii,
+		// never a post-filter).
+		q := core.Query{K: req.K}
+		if q.Keep, err = tn.col.Predicate(req.Filter); err == nil {
+			resp.Results, err = s.queryMany(tn, r, req.Queries, q)
+		}
+	case wire.OpApprox:
+		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K, Approx: true, P: req.Param})
+	case wire.OpRange:
+		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{Range: true, Radius: req.Param})
+	case wire.OpInsert:
+		// The durable index checks dimensionality and domain before it logs.
+		var id int
+		id, err = tn.eng.Insert(req.Queries[0])
+		resp.Value = int64(id)
+		if err == nil && len(req.Tags) > 0 {
+			if err = tn.col.Tags.Add(id, req.Tags); err != nil {
+				// The point is in; its tags are not. Surface the failure:
+				// the caller can retry the tagging by reinserting.
+				err = fmt.Errorf("point %d inserted but tagging failed: %w", id, err)
 			}
 		}
+	case wire.OpDelete:
+		var deleted bool
+		deleted, err = tn.eng.Delete(req.ID)
+		if deleted {
+			resp.Value = 1
+		}
 	}
-	return nil
+	return resp, err
 }
 
 // queryMany answers every query in the shape of proto (its Vec is filled
-// in per query). It is the one place a search request of either protocol
-// reaches its collection's engine. Everything is validated before
-// anything is scheduled, so a bad member fails the whole request without
-// wasting work on the rest.
+// in per query). Everything is validated before anything is scheduled, so
+// a bad member fails the whole request without wasting work on the rest.
 func (s *Server) queryMany(tn *tenant, r *http.Request, queries [][]float64, proto core.Query) ([]wire.Result, error) {
-	if err := finite(queries...); err != nil {
-		return nil, err
-	}
-	if proto.Range && math.IsInf(proto.Radius, 1) {
-		return nil, fmt.Errorf("%w: radius must be finite", wire.ErrFrame)
-	}
 	div, dim := tn.col.Handle.Divergence(), tn.col.Handle.Dim()
 	for _, q := range queries {
 		proto.Vec = q
@@ -785,172 +772,6 @@ func toWire(res core.Result) wire.Result {
 		items[i] = wire.Item{ID: it.ID, Distance: it.Score}
 	}
 	return wire.Result{Items: items}
-}
-
-func (s *Server) handleApprox(tn *tenant, w http.ResponseWriter, r *http.Request) {
-	var req wire.SearchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Filter != nil {
-		s.writeError(w, fmt.Errorf("%w: approx search does not support filters", wire.ErrBadFilter))
-		return
-	}
-	queries, ok := normalizeQueries(w, req)
-	if !ok {
-		return
-	}
-	results, err := s.queryMany(tn, r, queries, core.Query{K: req.K, Approx: true, P: req.P})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.SearchResponse{Results: results})
-}
-
-func (s *Server) handleRange(tn *tenant, w http.ResponseWriter, r *http.Request) {
-	var req wire.SearchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Filter != nil {
-		s.writeError(w, fmt.Errorf("%w: range search does not support filters", wire.ErrBadFilter))
-		return
-	}
-	queries, ok := normalizeQueries(w, req)
-	if !ok {
-		return
-	}
-	results, err := s.queryMany(tn, r, queries, core.Query{Range: true, Radius: req.R})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.SearchResponse{Results: results})
-}
-
-func (s *Server) handleInsert(tn *tenant, w http.ResponseWriter, r *http.Request) {
-	var req wire.InsertRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	for _, tag := range req.Tags {
-		if tag == "" || len(tag) > wire.MaxName {
-			badRequest(w, fmt.Sprintf("bad tag %q", tag))
-			return
-		}
-	}
-	id, err := s.insertOne(tn, req.P)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if len(req.Tags) > 0 {
-		if err := tn.col.Tags.Add(id, req.Tags); err != nil {
-			// The point is in; its tags are not. Surface the failure — the
-			// caller can retry the tagging by reinserting.
-			s.writeError(w, fmt.Errorf("point %d inserted but tagging failed: %w", id, err))
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, wire.InsertResponse{ID: id})
-}
-
-func (s *Server) insertOne(tn *tenant, p []float64) (int, error) {
-	// The durable index checks dimensionality and domain before it logs.
-	if err := finite(p); err != nil {
-		return 0, err
-	}
-	return tn.eng.Insert(p)
-}
-
-func (s *Server) handleDelete(tn *tenant, w http.ResponseWriter, r *http.Request) {
-	var req wire.DeleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	deleted, err := tn.eng.Delete(req.ID)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.DeleteResponse{Deleted: deleted})
-}
-
-// ---------------------------------------------------------------------------
-// Binary protocol: one endpoint, op-dispatched, collection-routed by the
-// frame's name field, same gates and quotas as JSON.
-// ---------------------------------------------------------------------------
-
-func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.inc("frame")
-	req, err := wire.ReadRequest(io.LimitReader(r.Body, wire.MaxFrame+4))
-	if err != nil {
-		writeErrorFrame(w, 0, http.StatusBadRequest, wire.CodeBadRequest, err)
-		return
-	}
-	tn, err := s.tenant(req.Collection)
-	if err != nil {
-		s.writeFrameError(w, req.Op, err)
-		return
-	}
-	g := s.searchGate
-	if req.Op == wire.OpInsert || req.Op == wire.OpDelete {
-		g = s.mutGate
-	}
-	if !g.tryAcquire() {
-		w.Header().Set("Retry-After", s.retryAfterSecs())
-		writeErrorFrame(w, req.Op, http.StatusTooManyRequests, wire.CodeOverloaded,
-			errors.New("overloaded: in-flight limit reached, retry later"))
-		return
-	}
-	defer g.release()
-	ctx, cancel := s.deadline(r)
-	defer cancel()
-	fail := func(err error) { s.writeFrameError(w, req.Op, err) }
-	s.admit(tn, frameOp(req.Op), req.TraceID, r.WithContext(ctx), fail, func(r *http.Request) {
-		s.serveFrame(tn, w, r, req)
-	})
-}
-
-// serveFrame runs one admitted binary request and writes its response
-// frame.
-func (s *Server) serveFrame(tn *tenant, w http.ResponseWriter, r *http.Request, req wire.Request) {
-	// Echo only the id the client sent: a sampler- or slow-log-initiated
-	// trace stays server-internal, so trace-unaware v2 clients never see
-	// the v3 flags bit on their responses.
-	resp := wire.Response{Op: req.Op, TraceID: req.TraceID}
-	var err error
-	switch req.Op {
-	case wire.OpSearch:
-		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K})
-	case wire.OpApprox:
-		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{K: req.K, Approx: true, P: req.Param})
-	case wire.OpRange:
-		resp.Results, err = s.queryMany(tn, r, req.Queries, core.Query{Range: true, Radius: req.Param})
-	case wire.OpInsert:
-		var id int
-		id, err = s.insertOne(tn, req.Queries[0])
-		resp.Value = int64(id)
-	case wire.OpDelete:
-		var deleted bool
-		deleted, err = tn.eng.Delete(req.ID)
-		if deleted {
-			resp.Value = 1
-		}
-	}
-	if err != nil {
-		s.writeFrameError(w, req.Op, err)
-		return
-	}
-	frame, err := wire.AppendResponse(nil, resp)
-	if err != nil {
-		writeErrorFrame(w, req.Op, http.StatusInternalServerError, wire.CodeGeneric, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(frame)
 }
 
 // writeFrameError answers a failed binary request the way writeError

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -83,6 +84,61 @@ func FuzzRequestDecode(f *testing.F) {
 		if again.Op != req.Op || again.K != req.K || len(again.Queries) != len(req.Queries) ||
 			again.Collection != req.Collection {
 			t.Fatalf("round trip drifted: %+v vs %+v", again, req)
+		}
+	})
+}
+
+// FuzzJSONRequest throws arbitrary bodies at every data op's JSON decoder,
+// the JSON side of the trust boundary: whatever the body, DecodeJSON must
+// return an error or a request, never panic, and a request it accepts
+// without a filter or tags (which have no binary encoding) must re-encode
+// as a binary frame that decodes to the same Request. `go test -fuzz
+// FuzzJSONRequest ./internal/wire` explores from the seeds.
+func FuzzJSONRequest(f *testing.F) {
+	seeds := []struct {
+		op   Op
+		body string
+	}{
+		{OpSearch, `{"q":[1,2,3],"k":5}`},
+		{OpSearch, `{"queries":[[1,2],[3,4]],"k":2}`},
+		{OpSearch, `{"q":[1],"k":1,"filter":{"tags":["a"],"mode":"all"}}`},
+		{OpApprox, `{"q":[0.5,2],"k":3,"p":0.9}`},
+		{OpRange, `{"q":[1,1],"r":2.5}`},
+		{OpInsert, `{"p":[3,2,1]}`},
+		{OpInsert, `{"p":[1],"tags":["red","blue"]}`},
+		{OpDelete, `{"id":17}`},
+		// Refusals: both query forms, a ragged batch, an unknown field, k
+		// past what a frame carries, a filter on approx, a bad tag, a NaN
+		// literal, an empty point, a truncated body.
+		{OpSearch, `{"q":[1],"queries":[[1]],"k":1}`},
+		{OpSearch, `{"queries":[[1,2],[3]],"k":1}`},
+		{OpInsert, `{"p":[1],"bogus":true}`},
+		{OpSearch, `{"q":[1],"k":4294967296}`},
+		{OpApprox, `{"q":[1],"k":1,"p":0.5,"filter":{"tags":["a"]}}`},
+		{OpInsert, `{"p":[1],"tags":[""]}`},
+		{OpSearch, `{"q":[NaN],"k":1}`},
+		{OpInsert, `{"p":[]}`},
+		{OpDelete, `{"id":`},
+	}
+	for _, s := range seeds {
+		f.Add(uint8(s.op-OpSearch), []byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
+		req, err := DecodeJSON(Ops[int(op)%len(Ops)].Op, bytes.NewReader(body))
+		if err != nil || req.Filter != nil || len(req.Tags) > 0 {
+			return
+		}
+		req.Collection = DefaultCollection
+		frame, err := AppendRequest(nil, req)
+		if err != nil {
+			t.Fatalf("accepted body %q does not encode as a frame: %v", body, err)
+		}
+		again, err := ReadRequest(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("frame of accepted body %q does not decode: %v", body, err)
+		}
+		if !reflect.DeepEqual(again, req) {
+			t.Fatalf("frame round trip drifted: %+v vs %+v", again, req)
 		}
 	})
 }

@@ -2,6 +2,10 @@
 // response shapes served on the per-route HTTP endpoints, and a compact
 // length-prefixed binary framing for the single /v1/frame endpoint that
 // high-throughput clients use to avoid JSON costs on the hot search path.
+// Ops is the table of the five data ops both protocols carry, and
+// DecodeJSON, JSONRequest, JSONResponse and DecodeJSONResponse convert each
+// op's JSON bodies to and from the Request and Response the binary codec
+// uses, so server and client handle one request shape.
 //
 // Binary framing (all integers little-endian):
 //
@@ -40,11 +44,13 @@
 // MaxFrame, truncated frames, inner counts inconsistent with the frame
 // length, non-zero reserved bytes, malformed collection names, and
 // non-finite (NaN/Inf) coordinates are all rejected with an error wrapping
-// ErrFrame (FuzzRequestDecode pins the no-panic property).
+// ErrFrame (FuzzRequestDecode pins the no-panic property, FuzzJSONRequest
+// the same for DecodeJSON).
 package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,6 +72,31 @@ const (
 	// OpDelete durably tombstones id; value = 1 if it was live.
 	OpDelete Op = 5
 )
+
+// OpSpec is one row of the op table.
+type OpSpec struct {
+	Op Op
+	// Name is the op's JSON route (/v1/{name} and
+	// /v2/collections/{collection}/{name}) and its name in traces, the
+	// slow-query log and the route counters.
+	Name string
+	// Mutation marks the ops the mutation gate admits; the others are
+	// search-class: search gate, stage traces, duration histograms.
+	Mutation bool
+}
+
+// Ops is the op table: the five data ops in Op order, named once for both
+// protocols, server and client alike.
+var Ops = [...]OpSpec{
+	{OpSearch, "search", false},
+	{OpApprox, "approx", false},
+	{OpRange, "range", false},
+	{OpInsert, "insert", true},
+	{OpDelete, "delete", true},
+}
+
+// Spec returns op's row of the op table; op must be one of the five.
+func (op Op) Spec() OpSpec { return Ops[op-OpSearch] }
 
 // Limits the decoder enforces before trusting any length field.
 const (
@@ -123,6 +154,10 @@ type Request struct {
 	// TraceID, when nonzero, asks the server to trace this request and
 	// echo the id back (flags bit 0 on the wire); zero omits the field.
 	TraceID uint64
+	// Filter (OpSearch) and Tags (OpInsert) ride JSON requests only: they
+	// have no binary encoding, and AppendRequest refuses them.
+	Filter *Filter
+	Tags   []string
 }
 
 // flagTraced marks a payload carrying a trailing u64 trace id.
@@ -151,30 +186,33 @@ type Response struct {
 	TraceID uint64
 }
 
-// AppendRequest appends req's binary frame (length prefix included) to
-// dst, validating the same invariants DecodeRequest enforces so a client
-// cannot emit a frame its server would reject.
-func AppendRequest(dst []byte, req Request) ([]byte, error) {
-	nq := len(req.Queries)
-	dim := 0
+// check enforces on a request what DecodeRequest enforces on a frame, so
+// neither AppendRequest nor DecodeJSON admits a request a frame could not
+// carry. It returns the collection name the frame carries and the length
+// of its payload.
+func check(req Request) (string, int, error) {
+	nq, dim := len(req.Queries), 0
 	if nq > 0 {
 		dim = len(req.Queries[0])
 	}
 	if err := validateShape(req.Op, nq, dim); err != nil {
-		return nil, err
+		return "", 0, err
+	}
+	if req.K != int(int32(req.K)) {
+		return "", 0, fmt.Errorf("%w: k %d out of range", ErrFrame, req.K)
 	}
 	for _, q := range req.Queries {
 		if len(q) != dim {
-			return nil, fmt.Errorf("%w: ragged query rows (%d vs %d)", ErrFrame, len(q), dim)
+			return "", 0, fmt.Errorf("%w: ragged query rows (%d vs %d)", ErrFrame, len(q), dim)
 		}
 		for _, v := range q {
 			if !finite(v) {
-				return nil, fmt.Errorf("%w: non-finite coordinate %v", ErrFrame, v)
+				return "", 0, fmt.Errorf("%w: non-finite coordinate %v", ErrFrame, v)
 			}
 		}
 	}
 	if !finite(req.Param) {
-		return nil, fmt.Errorf("%w: non-finite param %v", ErrFrame, req.Param)
+		return "", 0, fmt.Errorf("%w: non-finite param %v", ErrFrame, req.Param)
 	}
 	// The default collection travels as nameLen 0 — byte-identical to a v1
 	// frame, so a collection-unaware server still accepts it.
@@ -183,16 +221,36 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 		name = ""
 	}
 	if name != "" && !ValidName(name) {
-		return nil, fmt.Errorf("%w: bad collection name %q", ErrFrame, name)
+		return "", 0, fmt.Errorf("%w: bad collection name %q", ErrFrame, name)
 	}
-	flags := byte(0)
 	payload := reqHeader + 8*nq*dim + len(name)
 	if req.TraceID != 0 {
-		flags |= flagTraced
 		payload += 8
 	}
 	if payload > MaxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrFrame, payload)
+		return "", 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrFrame, payload)
+	}
+	return name, payload, nil
+}
+
+// AppendRequest appends req's binary frame (length prefix included) to
+// dst, validating the same invariants DecodeRequest enforces so a client
+// cannot emit a frame its server would reject.
+func AppendRequest(dst []byte, req Request) ([]byte, error) {
+	if req.Filter != nil || len(req.Tags) > 0 {
+		return nil, fmt.Errorf("%w: filters and tags have no binary encoding", ErrFrame)
+	}
+	name, payload, err := check(req)
+	if err != nil {
+		return nil, err
+	}
+	nq, dim := len(req.Queries), 0
+	if nq > 0 {
+		dim = len(req.Queries[0])
+	}
+	flags := byte(0)
+	if req.TraceID != 0 {
+		flags |= flagTraced
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(payload))
 	dst = append(dst, byte(req.Op), byte(len(name)), flags, 0)
@@ -533,7 +591,7 @@ func (f *Filter) Validate() error {
 // routes and v2 collection routes alike). Q carries one query, Queries a
 // batch (exactly one of the two); K is the neighbour count, P the approx
 // guarantee, R the range radius. Filter restricts exact-search answers to
-// matching points; approx, range, and the v1 routes reject it.
+// matching points; approx and range reject it.
 type SearchRequest struct {
 	Q       []float64   `json:"q,omitempty"`
 	Queries [][]float64 `json:"queries,omitempty"`
@@ -568,6 +626,127 @@ type DeleteRequest struct {
 // DeleteResponse reports whether the id was live.
 type DeleteResponse struct {
 	Deleted bool `json:"deleted"`
+}
+
+// DecodeJSON decodes op's JSON request body into the one request shape
+// both protocols share. It refuses, with an error matching ErrFrame, any
+// body a binary frame could not carry, except for the filter and tags,
+// which only JSON carries. The caller sets Collection and TraceID.
+func DecodeJSON(op Op, body io.Reader) (Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	req := Request{Op: op}
+	var err error
+	switch op {
+	case OpInsert:
+		var b InsertRequest
+		if err = dec.Decode(&b); err != nil {
+			break
+		}
+		for _, tag := range b.Tags {
+			if tag == "" || len(tag) > MaxName {
+				return Request{}, badBody(fmt.Sprintf("bad tag %q", tag))
+			}
+		}
+		req.Queries = [][]float64{b.P}
+		if len(b.Tags) > 0 {
+			req.Tags = b.Tags
+		}
+	case OpDelete:
+		var b DeleteRequest
+		err = dec.Decode(&b)
+		req.ID = b.ID
+	default:
+		var b SearchRequest
+		if err = dec.Decode(&b); err != nil {
+			break
+		}
+		if b.Filter != nil && op != OpSearch {
+			return Request{}, fmt.Errorf("%w: %s search does not support filters", ErrBadFilter, op.Spec().Name)
+		}
+		if (b.Q == nil) == (b.Queries == nil) {
+			return Request{}, badBody(`exactly one of "q" and "queries" must be set`)
+		}
+		req.K, req.Filter, req.Queries = b.K, b.Filter, b.Queries
+		if b.Q != nil {
+			req.Queries = [][]float64{b.Q}
+		}
+		if len(req.Queries) == 0 || len(req.Queries) > MaxBatch {
+			return Request{}, badBody(fmt.Sprintf("need between 1 and %d queries, got %d", MaxBatch, len(req.Queries)))
+		}
+		if err = b.Filter.Validate(); err != nil {
+			return Request{}, err
+		}
+		switch op {
+		case OpApprox:
+			req.Param = b.P
+		case OpRange:
+			req.Param = b.R
+		}
+	}
+	if err != nil {
+		return Request{}, badBody("bad request body: " + err.Error())
+	}
+	if _, _, err := check(req); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+// badBody is a JSON body DecodeJSON refuses. Its message is the bare
+// reason, and it matches ErrFrame like every other refused request.
+type badBody string
+
+func (e badBody) Error() string        { return string(e) }
+func (e badBody) Is(target error) bool { return target == ErrFrame }
+
+// JSONRequest returns req's JSON body, the value DecodeJSON decodes back.
+// A single query travels as "q", a batch as "queries".
+func JSONRequest(req Request) any {
+	switch req.Op {
+	case OpInsert:
+		return InsertRequest{P: req.Queries[0], Tags: req.Tags}
+	case OpDelete:
+		return DeleteRequest{ID: req.ID}
+	}
+	b := SearchRequest{K: req.K, Filter: req.Filter, Queries: req.Queries}
+	if len(req.Queries) == 1 {
+		b.Q, b.Queries = req.Queries[0], nil
+	}
+	switch req.Op {
+	case OpApprox:
+		b.P = req.Param
+	case OpRange:
+		b.R = req.Param
+	}
+	return b
+}
+
+// JSONResponse returns a successful resp's JSON body.
+func JSONResponse(resp Response) any {
+	switch resp.Op {
+	case OpInsert:
+		return InsertResponse{ID: int(resp.Value)}
+	case OpDelete:
+		return DeleteResponse{Deleted: resp.Value == 1}
+	}
+	return SearchResponse{Results: resp.Results}
+}
+
+// DecodeJSONResponse decodes op's JSON success body, the inverse of
+// JSONResponse.
+func DecodeJSONResponse(op Op, body []byte) (Response, error) {
+	var b struct {
+		SearchResponse
+		InsertResponse
+		DeleteResponse
+	}
+	err := json.Unmarshal(body, &b)
+	resp := Response{Op: op, Results: b.Results, Value: int64(b.ID)}
+	if b.Deleted {
+		resp.Value = 1
+	}
+	return resp, err
 }
 
 // ErrorResponse is every non-2xx JSON body. Code is the machine-readable

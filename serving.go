@@ -324,6 +324,7 @@ type RemoteResult = wire.Result
 // (ErrNoSuchCollection, ErrCollectionExists, ErrBadFilter).
 type Client struct {
 	inner *client.Client
+	def   *RemoteCollection // the "default" collection the Client methods address
 }
 
 // NewClient creates a client for the breserved server at baseURL. Zero
@@ -335,15 +336,20 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 			opt(&o)
 		}
 	}
-	return &Client{inner: client.New(baseURL, o)}
+	inner := client.New(baseURL, o)
+	return &Client{inner: inner, def: &RemoteCollection{inner: inner.Collection(wire.DefaultCollection)}}
 }
 
-func toNeighbors(items []wire.Item) []Neighbor {
+// neighbors converts one remote answer, passing its error through.
+func neighbors(items []wire.Item, err error) ([]Neighbor, error) {
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Neighbor, len(items))
 	for i, it := range items {
 		out[i] = Neighbor{ID: it.ID, Distance: it.Distance}
 	}
-	return out
+	return out, nil
 }
 
 // RemoteCollection is a Client view scoped to one named collection: the
@@ -362,21 +368,13 @@ func (c *Client) Collection(name string) *RemoteCollection {
 // Search returns the exact k nearest neighbours of q from the
 // collection; ids and distances match the in-process index bit for bit.
 func (rc *RemoteCollection) Search(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	items, err := rc.inner.Search(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return neighbors(rc.inner.Search(ctx, q, k))
 }
 
 // SearchFiltered returns the exact k nearest neighbours of q among only
 // the points matching the tag filter.
 func (rc *RemoteCollection) SearchFiltered(ctx context.Context, q []float64, k int, f Filter) ([]Neighbor, error) {
-	items, err := rc.inner.SearchFiltered(ctx, q, k, f)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return neighbors(rc.inner.SearchFiltered(ctx, q, k, f))
 }
 
 // BatchSearch submits all queries in one request; results arrive in
@@ -388,7 +386,7 @@ func (rc *RemoteCollection) BatchSearch(ctx context.Context, queries [][]float64
 	}
 	out := make([][]Neighbor, len(results))
 	for i, r := range results {
-		out[i] = toNeighbors(r.Items)
+		out[i], _ = neighbors(r.Items, nil)
 	}
 	return out, nil
 }
@@ -396,20 +394,12 @@ func (rc *RemoteCollection) BatchSearch(ctx context.Context, queries [][]float64
 // SearchApprox returns k neighbours that are the exact kNN with
 // probability at least p ∈ (0,1].
 func (rc *RemoteCollection) SearchApprox(ctx context.Context, q []float64, k int, p float64) ([]Neighbor, error) {
-	items, err := rc.inner.SearchApprox(ctx, q, k, p)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return neighbors(rc.inner.SearchApprox(ctx, q, k, p))
 }
 
 // RangeSearch returns every point within distance r of q, ascending.
 func (rc *RemoteCollection) RangeSearch(ctx context.Context, q []float64, r float64) ([]Neighbor, error) {
-	items, err := rc.inner.RangeSearch(ctx, q, r)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return neighbors(rc.inner.RangeSearch(ctx, q, r))
 }
 
 // Insert durably adds a point to the collection and returns its global
@@ -448,55 +438,35 @@ func (c *Client) DropCollection(ctx context.Context, name string) error {
 // Search returns the exact k nearest neighbours of q from the server;
 // ids and distances match the in-process Index.Search bit for bit.
 func (c *Client) Search(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	items, err := c.inner.Search(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return c.def.Search(ctx, q, k)
 }
 
 // BatchSearch submits all queries in one request; results arrive in
 // query order.
 func (c *Client) BatchSearch(ctx context.Context, queries [][]float64, k int) ([][]Neighbor, error) {
-	results, err := c.inner.BatchSearch(ctx, queries, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Neighbor, len(results))
-	for i, r := range results {
-		out[i] = toNeighbors(r.Items)
-	}
-	return out, nil
+	return c.def.BatchSearch(ctx, queries, k)
 }
 
 // SearchApprox returns k neighbours that are the exact kNN with
 // probability at least p ∈ (0,1].
 func (c *Client) SearchApprox(ctx context.Context, q []float64, k int, p float64) ([]Neighbor, error) {
-	items, err := c.inner.SearchApprox(ctx, q, k, p)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return c.def.SearchApprox(ctx, q, k, p)
 }
 
 // RangeSearch returns every point within distance r of q, ascending.
 func (c *Client) RangeSearch(ctx context.Context, q []float64, r float64) ([]Neighbor, error) {
-	items, err := c.inner.RangeSearch(ctx, q, r)
-	if err != nil {
-		return nil, err
-	}
-	return toNeighbors(items), nil
+	return c.def.RangeSearch(ctx, q, r)
 }
 
 // Insert durably adds a point server-side and returns its global id.
 func (c *Client) Insert(ctx context.Context, p []float64) (int, error) {
-	return c.inner.Insert(ctx, p)
+	return c.def.Insert(ctx, p)
 }
 
 // Delete durably tombstones id server-side, reporting whether it was
 // live.
 func (c *Client) Delete(ctx context.Context, id int) (bool, error) {
-	return c.inner.Delete(ctx, id)
+	return c.def.Delete(ctx, id)
 }
 
 // Checkpoint asks the server to fold its WAL into the snapshot.
