@@ -2,9 +2,13 @@ package brepartition_test
 
 import (
 	"context"
+	"go/ast"
+	"go/doc"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,64 +21,40 @@ import (
 // interface{ String() string } return) breaks this test file instead of
 // silently breaking downstream users.
 func TestPublicAPISurface(t *testing.T) {
+	// Index is the one index type: every constructor returns it, and its
+	// method set is the union of what the in-memory, sharded and durable
+	// kinds offered, with one signature each.
 	var idx *brepartition.Index
 	var _ func() time.Duration = idx.BuildTime
 	var _ func([]float64, int) (brepartition.Result, error) = idx.Search
 	var _ func([]topk.Item, []float64, int) (brepartition.Result, error) = idx.SearchAppend
 	var _ func([]float64, int, float64) (brepartition.Result, error) = idx.SearchApprox
-	// ISSUE 23 removed SearchParallel from all three index kinds (and
-	// EngineOptions.SubWorkers with it): the per-subspace fan-out never beat
-	// the sequential filter. Query is the one method behind every named
-	// search, and what makes an index kind a Backend.
+	// Query is the one method behind every named search, and what makes an
+	// Index a Backend.
 	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = idx.Query
 	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = idx.RangeSearch
 	var _ func([][]float64, int, int) ([]brepartition.Result, error) = idx.BatchSearch
 	var _ func([]float64) (int, error) = idx.Insert
-	var _ func(int) bool = idx.Delete
+	var _ func(int) (bool, error) = idx.Delete
+	var _ func() error = idx.Sync
+	var _ func() error = idx.Checkpoint
+	var _ func() error = idx.Close
+	var _ func() uint64 = idx.LastLSN
+	var _ func() uint64 = idx.SyncedLSN
+	var _ func() int64 = idx.WALSize
 	var _ func() uint64 = idx.Version
+	var _ func() int = idx.Shards
+	var _ func() []int = idx.ShardSizes
 	var _ func(string) error = idx.WriteFile
+	var _ func(string) error = idx.WriteDir
 	var _ func(string, brepartition.ColdTierOptions) error = idx.AttachColdTier
 	var _ func([]float64, int) (brepartition.Result, error) = idx.SearchCold
 	var _ func() (brepartition.ColdTierStats, bool) = idx.ColdStats
 	var _ func() error = idx.DetachColdTier
+	var _ error = brepartition.ErrNotDurable
 
-	var sx *brepartition.ShardedIndex
-	var _ func([]float64, int) (brepartition.Result, error) = sx.Search
-	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = sx.Query
-	var _ func([]float64, int, float64) (brepartition.Result, error) = sx.SearchApprox
-	var _ func([][]float64, int) ([]brepartition.Result, error) = sx.BatchSearch
-	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = sx.RangeSearch
-	var _ func([]float64) (int, error) = sx.Insert
-	var _ func(int) bool = sx.Delete
-	var _ func(string) error = sx.WriteDir
-	var _ func() uint64 = sx.Version
-	var _ func(string, brepartition.ColdTierOptions) error = sx.AttachColdTier
-	var _ func([]float64, int) (brepartition.Result, error) = sx.SearchCold
-	var _ func() (brepartition.ColdTierStats, bool) = sx.ColdStats
-	var _ func() error = sx.DetachColdTier
-
-	var dx *brepartition.DurableIndex
-	var _ func([]float64, int) (brepartition.Result, error) = dx.Search
-	var _ func([]topk.Item, *brepartition.Query) (brepartition.Result, error) = dx.Query
-	var _ func([]float64, int, float64) (brepartition.Result, error) = dx.SearchApprox
-	var _ func([][]float64, int) ([]brepartition.Result, error) = dx.BatchSearch
-	var _ func([]float64, float64) ([]brepartition.Neighbor, brepartition.SearchStats, error) = dx.RangeSearch
-	var _ func([]float64) (int, error) = dx.Insert
-	var _ func(int) (bool, error) = dx.Delete
-	var _ func() error = dx.Sync
-	var _ func() error = dx.Checkpoint
-	var _ func() error = dx.Close
-	var _ func() uint64 = dx.LastLSN
-	var _ func() uint64 = dx.SyncedLSN
-	var _ func() uint64 = dx.Version
-	var _ func(brepartition.ColdTierOptions) error = dx.AttachColdTier
-	var _ func([]float64, int) (brepartition.Result, error) = dx.SearchCold
-	var _ func() (brepartition.ColdTierStats, bool) = dx.ColdStats
-	var _ func() error = dx.DetachColdTier
-
-	// All three index kinds are Engine backends, and a Backend is exactly
-	// the one query method: with no result cache the engine needs no
-	// mutation counter.
+	// A Backend is exactly the one query method: the engine schedules
+	// queries and nothing else.
 	var _ interface {
 		Query([]topk.Item, *brepartition.Query) (brepartition.Result, error)
 	} = brepartition.Backend(nil)
@@ -84,28 +64,24 @@ func TestPublicAPISurface(t *testing.T) {
 	// CacheSize is deprecated and ignored, but still compiles.
 	var _ brepartition.EngineOptions = struct{ Workers, CacheSize int }{}
 	var _ brepartition.Backend = idx
-	var _ brepartition.Backend = sx
-	var _ brepartition.Backend = dx
 	var _ func(brepartition.Backend, *brepartition.EngineOptions) *brepartition.Engine = brepartition.NewEngine
 
-	// The engine routes mutations as well as queries, and has explicit
-	// lifecycle semantics for serving layers.
+	// The engine has one submission per query shape (Submit is the exact
+	// shorthand) and explicit lifecycle semantics for serving layers.
 	var eng *brepartition.Engine
-	var _ func([]float64) (int, error) = eng.Insert
-	var _ func(int) (bool, error) = eng.Delete
-	var _ func([]float64, int, float64) *brepartition.Future = eng.SubmitApprox
-	var _ func([]float64, float64) *brepartition.Future = eng.SubmitRange
+	var _ func([]float64, int) *brepartition.Future = eng.Submit
+	var _ func(brepartition.Query) *brepartition.Future = eng.SubmitQuery
 	var _ func() int = eng.QueueDepth
 	var _ func() = eng.Drain
 	var _ func() error = eng.Close
 
 	// Constructor shapes.
 	var _ func(brepartition.Divergence, [][]float64, *brepartition.Options) (*brepartition.Index, error) = brepartition.Build
-	var _ func(brepartition.Divergence, [][]float64, int, *brepartition.Options) (*brepartition.ShardedIndex, error) = brepartition.BuildSharded
-	var _ func(string) (*brepartition.ShardedIndex, error) = brepartition.OpenSharded
+	var _ func(brepartition.Divergence, [][]float64, int, *brepartition.Options) (*brepartition.Index, error) = brepartition.BuildSharded
+	var _ func(string) (*brepartition.Index, error) = brepartition.OpenSharded
 	var _ func(string) (*brepartition.Index, error) = brepartition.ReadIndexFile
-	var _ func(brepartition.Divergence, [][]float64, string, *brepartition.DurableOptions) (*brepartition.DurableIndex, error) = brepartition.BuildDurable
-	var _ func(string, *brepartition.DurableOptions) (*brepartition.DurableIndex, error) = brepartition.OpenDurable
+	var _ func(brepartition.Divergence, [][]float64, string, *brepartition.DurableOptions) (*brepartition.Index, error) = brepartition.BuildDurable
+	var _ func(string, *brepartition.DurableOptions) (*brepartition.Index, error) = brepartition.OpenDurable
 
 	// The serving layer: functional-option constructors (the positional
 	// *Options parameters were consolidated behind ServeOption /
@@ -159,80 +135,42 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func(context.Context, int) (bool, error) = rc.Delete
 }
 
-// TestShardedPublicRoundTrip drives the whole public sharded surface:
-// build, search equality with the single index, engine over both
-// backends, snapshot, reopen, mutate.
-func TestShardedPublicRoundTrip(t *testing.T) {
-	idx, queries := apiTestIndex(t)
-	// The same deterministic points apiTestIndex indexes, sharded 4 ways.
-	sx, err := brepartition.BuildSharded(brepartition.ItakuraSaito(), apiTestPoints(), 4, &brepartition.Options{M: 4})
+// rootSurface is the root package's exported surface, counted the way
+// scripts/loc_report.sh counts `go doc` output: package-level funcs
+// (constructors included), methods on exported types, and exported
+// type/const/var declarations, a grouped const or var block counting once.
+const rootSurface = 137
+
+// TestPublicAPISurfaceSize pins rootSurface, so the public API grows only
+// through a deliberate edit of this number.
+func TestPublicAPISurfaceSize(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx.Shards() != 4 || sx.N() != idx.N() || sx.Dim() != idx.Dim() {
-		t.Fatalf("sharded geometry: shards=%d N=%d Dim=%d", sx.Shards(), sx.N(), sx.Dim())
-	}
-
-	const k = 7
-	for _, q := range queries {
-		want, err := idx.Search(q, k)
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sx.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(brepartition.Neighbors(got), brepartition.Neighbors(want)) {
-			t.Fatalf("sharded != single-index\ngot  %v\nwant %v",
-				brepartition.Neighbors(got), brepartition.Neighbors(want))
-		}
+		files = append(files, f)
 	}
-
-	// An Engine drives either backend identically.
-	eng := brepartition.NewEngine(sx, &brepartition.EngineOptions{Workers: 4})
-	results, err := eng.BatchSearch(queries, k)
+	pkg, err := doc.NewFromFiles(fset, files, "brepartition")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range queries {
-		want, _ := idx.Search(q, k)
-		if !reflect.DeepEqual(brepartition.Neighbors(results[i]), brepartition.Neighbors(want)) {
-			t.Fatalf("engine-over-sharded query %d diverged", i)
-		}
+	funcs, methods, decls := len(pkg.Funcs), 0, len(pkg.Types)+len(pkg.Consts)+len(pkg.Vars)
+	for _, typ := range pkg.Types {
+		funcs += len(typ.Funcs)
+		methods += len(typ.Methods)
 	}
-	if st := eng.Stats(); st.Queries != int64(len(queries)) {
-		t.Fatalf("engine stats queries = %d, want %d", st.Queries, len(queries))
-	}
-
-	// Snapshot → reopen → identical answers, still mutable.
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := sx.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	lx, err := brepartition.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries[:4] {
-		want, _ := sx.Search(q, k)
-		got, err := lx.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Items, want.Items) {
-			t.Fatal("reopened snapshot answers differently")
-		}
-	}
-	id, err := lx.Insert(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := lx.Search(queries[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Items[0].ID != id || res.Items[0].Score != 0 {
-		t.Fatalf("inserted query point not first: %+v", res.Items[0])
+	if got := funcs + methods + decls; got != rootSurface {
+		t.Fatalf("root exports %d symbols (%d funcs, %d methods, %d type/const/var declarations), pinned %d: "+
+			"update rootSurface deliberately if the change is meant", got, funcs, methods, decls, rootSurface)
 	}
 }

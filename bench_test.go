@@ -250,7 +250,7 @@ func BenchmarkBatchSearchW8(b *testing.B) { benchmarkBatchWorkers(b, 8) }
 // scatter-gather overhead against BenchmarkSearchM8.
 // ---------------------------------------------------------------------------
 
-func benchShardedIndex(b *testing.B, shards, m, nq int) (*brepartition.ShardedIndex, [][]float64) {
+func benchShardedIndex(b *testing.B, shards, m, nq int) (*brepartition.Index, [][]float64) {
 	b.Helper()
 	spec, err := dataset.PaperSpec("audio", 0.1)
 	if err != nil {
@@ -272,7 +272,7 @@ func BenchmarkShardedBatchSearch(b *testing.B) {
 	sx, queries := benchShardedIndex(b, 4, 8, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sx.BatchSearch(queries, 20); err != nil {
+		if _, err := sx.BatchSearch(queries, 20, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ var _ = fmt.Sprintf
 // mutation; compare against BENCH_*.json to catch write-path regressions.
 // ---------------------------------------------------------------------------
 
-func benchDurable(b *testing.B, syncEvery int) *brepartition.DurableIndex {
+func benchDurable(b *testing.B, syncEvery int) *brepartition.Index {
 	b.Helper()
 	spec, err := dataset.PaperSpec("audio", 0.05)
 	if err != nil {

@@ -76,10 +76,11 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 }
 
 // TestEngineSubmitRangeAndApprox pins the public Engine's non-exact
-// submissions on every public index kind: before ISSUE 23 the engine
-// sniffed its backend for RangeSearch/SearchApprox methods whose
-// signatures the public wrappers never had, so SubmitRange failed with
-// "backend does not support range queries" on all three.
+// submissions, one SubmitQuery per shape, over an in-memory, a sharded
+// and a durable Index: the engine once sniffed its backend for
+// RangeSearch/SearchApprox methods whose signatures the public wrappers
+// never had, so range submissions failed with "backend does not support
+// range queries" on every index kind.
 func TestEngineSubmitRangeAndApprox(t *testing.T) {
 	points := apiTestPoints()
 	idx, queries := apiTestIndex(t)
@@ -94,13 +95,8 @@ func TestEngineSubmitRangeAndApprox(t *testing.T) {
 	}
 	defer dx.Close()
 
-	type index interface {
-		brepartition.Backend
-		Search(q []float64, k int) (brepartition.Result, error)
-		RangeSearch(q []float64, r float64) ([]brepartition.Neighbor, brepartition.SearchStats, error)
-	}
 	const k = 6
-	for name, ix := range map[string]index{"Index": idx, "ShardedIndex": sx, "DurableIndex": dx} {
+	for name, ix := range map[string]*brepartition.Index{"Build": idx, "BuildSharded": sx, "BuildDurable": dx} {
 		eng := brepartition.NewEngine(ix, nil)
 		for _, q := range queries[:4] {
 			exact, err := ix.Search(q, 2*k)
@@ -112,20 +108,20 @@ func TestEngineSubmitRangeAndApprox(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.SubmitRange(q, r).Wait()
+			got, err := eng.SubmitQuery(brepartition.Query{Vec: q, Range: true, Radius: r}).Wait()
 			if err != nil {
-				t.Fatalf("%s: SubmitRange: %v", name, err)
+				t.Fatalf("%s: range SubmitQuery: %v", name, err)
 			}
 			if len(want) < 2*k || !reflect.DeepEqual(brepartition.Neighbors(got), want) {
-				t.Fatalf("%s: SubmitRange != RangeSearch\ngot  %v\nwant %v", name, brepartition.Neighbors(got), want)
+				t.Fatalf("%s: range SubmitQuery != RangeSearch\ngot  %v\nwant %v", name, brepartition.Neighbors(got), want)
 			}
 
-			approx, err := eng.SubmitApprox(q, k, 1).Wait()
+			approx, err := eng.SubmitQuery(brepartition.Query{Vec: q, K: k, Approx: true, P: 1}).Wait()
 			if err != nil {
-				t.Fatalf("%s: SubmitApprox: %v", name, err)
+				t.Fatalf("%s: approximate SubmitQuery: %v", name, err)
 			}
 			if !reflect.DeepEqual(approx.Items, exact.Items[:k]) {
-				t.Fatalf("%s: SubmitApprox(p=1) != Search\ngot  %v\nwant %v", name, approx.Items, exact.Items[:k])
+				t.Fatalf("%s: approximate SubmitQuery(p=1) != Search\ngot  %v\nwant %v", name, approx.Items, exact.Items[:k])
 			}
 		}
 	}

@@ -1,5 +1,6 @@
-// Quickstart: build a BrePartition index over a small synthetic dataset
-// and run an exact kNN query under the Itakura–Saito distance.
+// Quickstart: build BrePartition's one Index type over a small synthetic
+// dataset in memory, sharded, durable and served, and run exact kNN
+// queries under the Itakura–Saito distance.
 //
 // Run with:
 //
@@ -38,7 +39,7 @@ func main() {
 		points[i] = p
 	}
 
-	// Build with defaults: the number of partitions M is derived by the
+	// Build with defaults (in memory, one shard): M is derived by the
 	// paper's Theorem-4 cost model and dimensions are assigned by PCCP.
 	idx, err := brepartition.Build(brepartition.ItakuraSaito(), points, nil)
 	if err != nil {
@@ -101,18 +102,18 @@ func main() {
 	fmt.Printf("batch of %d queries on %d workers: %.0f QPS, p50=%s p99=%s, %d page reads\n",
 		len(batch), eng.Workers(), st.QPS, st.P50, st.P99, st.PageReads)
 
-	// The engine stays useful under mutation: Insert/Delete are safe while
-	// searches run, and the next search sees them.
+	// The engine schedules queries only: mutate the index itself, also
+	// while the engine's searches run; the next search sees it.
 	if _, err := idx.Insert(points[0]); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after one insert: %d live points, index version %d\n",
 		idx.Live(), idx.Version())
 
-	// Scaling out: a ShardedIndex hash-partitions the points across
-	// several independent indexes and answers scatter-gather — results
-	// are bit-identical to the single index, mutations only lock the
-	// owning shard, and an Engine drives it through the same interface.
+	// Scaling out: BuildSharded returns the same Index type with the
+	// points hash-partitioned across several shards, answered
+	// scatter-gather — results are bit-identical to the one-shard index,
+	// and mutations only lock the owning shard.
 	// (cmd/brebench's `sharded` experiment measures this at -shards N.)
 	sharded, err := brepartition.BuildSharded(brepartition.ItakuraSaito(), points, 4, nil)
 	if err != nil {
@@ -156,11 +157,11 @@ func main() {
 	fmt.Printf("snapshot round trip: %d points reloaded from %s, answers identical\n",
 		reloaded.N(), snap)
 
-	// Durability: a DurableIndex write-ahead-logs every mutation before
-	// applying it, so Insert/Delete survive a crash — no explicit
-	// snapshot dance needed. With the default policy each mutation is
-	// fsynced (group-committed) before the call returns; a background
-	// checkpointer folds the log into a snapshot to bound recovery time.
+	// Durability: BuildDurable's Index lives under a directory and logs
+	// every mutation before applying it, so Insert/Delete survive a crash.
+	// With the default policy each mutation is fsynced (group-committed)
+	// before the call returns; a background checkpointer folds the log
+	// into a snapshot to bound recovery time.
 	durableRoot := filepath.Join(dir, "durable")
 	dx, err := brepartition.BuildDurable(brepartition.ItakuraSaito(), points, durableRoot, nil)
 	if err != nil {
@@ -199,18 +200,17 @@ func main() {
 		recovered.N(), recovered.Live())
 	dx.Close()
 
-	// An Engine drives the durable backend too, routing reads and writes
-	// through one handle.
+	// An Engine serves the durable index like any other; its mutations
+	// still go to the index, which logs them.
 	deng := brepartition.NewEngine(recovered, nil)
-	if _, err := deng.Insert(points[3]); err != nil {
+	if _, err := recovered.Insert(points[3]); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := deng.BatchSearch(batch[:8], k); err != nil {
 		log.Fatal(err)
 	}
-	dst := deng.Stats()
-	fmt.Printf("engine over durable index: %d queries, %d mutations routed\n",
-		dst.Queries, dst.Mutations)
+	fmt.Printf("engine over durable index: %d queries beside %d logged mutations\n",
+		deng.Stats().Queries, recovered.LastLSN())
 	deng.Close()
 	recovered.Close()
 

@@ -222,10 +222,10 @@ func (r *Registry) openLegacyDefault() (*Collection, error) {
 		return nil, err
 	}
 	spec := wire.CollectionSpec{
-		Divergence: d.Divergence().Name(),
-		Dim:        d.Dim(),
-		M:          d.M(),
-		Shards:     d.Shards(),
+		Divergence: d.Index().Divergence().Name(),
+		Dim:        d.Index().Dim(),
+		M:          d.Index().M(),
+		Shards:     d.Index().Shards(),
 	}
 	root := r.root
 	return &Collection{

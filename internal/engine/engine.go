@@ -6,10 +6,11 @@
 // page reads) are aggregated. It is the only queue on the query path and
 // caches nothing: every query is searched.
 //
-// The engine relies on the core index's locking discipline: searches take
-// the index's shared lock, mutations (Insert/Delete) its exclusive lock,
-// so any number of engine workers may run against an index that is being
-// mutated concurrently and each query sees one consistent snapshot.
+// The engine schedules queries only. Mutations go to the index itself; the
+// engine relies on the index's locking discipline — searches take the
+// shared lock, Insert/Delete the exclusive one — so any number of engine
+// workers may run against an index that is being mutated concurrently and
+// each query sees one consistent snapshot.
 //
 // Hot-path cost model: each worker's query runs through the backend's
 // pooled per-query SearchContext and the monomorphized divergence kernel
@@ -41,26 +42,6 @@ import (
 type Backend interface {
 	Query(dst []topk.Item, q *core.Query) (core.Result, error)
 }
-
-// MutableBackend is the optional mutation surface. The engine routes
-// Insert/Delete through itself so services can hand one Engine handle to
-// both read and write paths; mutations are counted in the aggregate
-// stats.
-type MutableBackend interface {
-	Backend
-	Insert(p []float64) (int, error)
-	Delete(id int) bool
-}
-
-// durableDeleter is the Delete shape of a durability-wrapped index, which
-// also reports WAL errors. The engine prefers it over MutableBackend's
-// bool-only Delete when the backend offers it.
-type durableDeleter interface {
-	Delete(id int) (bool, error)
-}
-
-// ErrNoMutate reports Insert/Delete against a read-only backend.
-var ErrNoMutate = errors.New("engine: backend does not support mutations")
 
 // Config tunes the engine. The zero value asks for defaults.
 type Config struct {
@@ -96,7 +77,6 @@ type Engine struct {
 	mu         sync.Mutex
 	queries    int64
 	errors     int64
-	mutations  int64
 	pageReads  int64
 	candidates int64
 	started    time.Time // first submission
@@ -297,48 +277,6 @@ func (e *Engine) BatchSearch(queries [][]float64, k int) ([]core.Result, error) 
 	return out, firstErr
 }
 
-// Insert routes a point insertion to the backend (which must be mutable:
-// a core index, a sharded index, or a durable index — all three share one
-// Insert signature).
-func (e *Engine) Insert(p []float64) (int, error) {
-	b, ok := e.ix.(interface {
-		Insert(p []float64) (int, error)
-	})
-	if !ok {
-		return 0, ErrNoMutate
-	}
-	id, err := b.Insert(p)
-	if err == nil {
-		e.mu.Lock()
-		e.mutations++
-		e.mu.Unlock()
-	}
-	return id, err
-}
-
-// Delete routes a tombstone to the backend, reporting whether the id was
-// live. Against a durable backend a WAL failure surfaces as the error.
-func (e *Engine) Delete(id int) (bool, error) {
-	var (
-		ok  bool
-		err error
-	)
-	switch b := e.ix.(type) {
-	case durableDeleter:
-		ok, err = b.Delete(id)
-	case MutableBackend:
-		ok = b.Delete(id)
-	default:
-		return false, ErrNoMutate
-	}
-	if ok && err == nil {
-		e.mu.Lock()
-		e.mutations++
-		e.mu.Unlock()
-	}
-	return ok, err
-}
-
 // foldStats lifts one result's search stats into the trace: the
 // filter/refine/cold wall-time split becomes sub-spans of Run, the
 // work counters accumulate.
@@ -388,8 +326,8 @@ type Stats struct {
 	Queries int64
 	// Errors counts queries that returned an error.
 	Errors int64
-	// Mutations counts successful Insert/Delete calls routed through the
-	// engine.
+	// Mutations is left 0 by the engine, which schedules only queries; a
+	// serving layer that applies mutations beside it fills in its count.
 	Mutations int64
 	// Deprecated: CacheHits is always 0; the engine caches no results.
 	// It is kept only because the benchmark module still reads it.
@@ -424,7 +362,6 @@ func (e *Engine) Stats() Stats {
 		InFlight:   inflight,
 		Queries:    e.queries,
 		Errors:     e.errors,
-		Mutations:  e.mutations,
 		PageReads:  e.pageReads,
 		Candidates: e.candidates,
 	}

@@ -166,9 +166,9 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// TestMutationRouting drives Insert/Delete through the engine: the
-// mutations must land on the backend, count in the stats, and show in the
-// next answer.
+// TestMutationRouting mutates the index beside the engine, which
+// schedules only queries: each Insert/Delete applied to the backend must
+// show in the engine's next answer.
 func TestMutationRouting(t *testing.T) {
 	ix, queries := buildIndex(t, 300, 16, 2)
 	e := New(ix, Config{Workers: 2})
@@ -179,7 +179,7 @@ func TestMutationRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id, err := e.Insert(append([]float64(nil), q...))
+	id, err := ix.Insert(append([]float64(nil), q...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,11 @@ func TestMutationRouting(t *testing.T) {
 		t.Fatal("answer unchanged by the insert")
 	}
 
-	ok, err := e.Delete(id)
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
+	if !ix.Delete(id) {
+		t.Fatal("delete of a live id reported false")
 	}
-	if ok, err := e.Delete(id); err != nil || ok {
-		t.Fatalf("double delete must be a no-op: %v %v", ok, err)
+	if ix.Delete(id) {
+		t.Fatal("double delete must be a no-op")
 	}
 	gone, err := e.Submit(q, 5).Wait()
 	if err != nil {
@@ -213,24 +212,10 @@ func TestMutationRouting(t *testing.T) {
 			t.Fatal("deleted point still served")
 		}
 	}
-	if st := e.Stats(); st.Mutations != 2 {
-		t.Fatalf("stats count %d mutations, want 2", st.Mutations)
-	}
 }
 
 // readOnlyBackend implements only Backend.
 type readOnlyBackend struct{ Backend }
-
-func TestMutationRoutingReadOnly(t *testing.T) {
-	ix, _ := buildIndex(t, 50, 8, 2)
-	e := New(readOnlyBackend{ix}, Config{Workers: 1})
-	if _, err := e.Insert([]float64{1}); err != ErrNoMutate {
-		t.Fatalf("want ErrNoMutate, got %v", err)
-	}
-	if _, err := e.Delete(0); err != ErrNoMutate {
-		t.Fatalf("want ErrNoMutate, got %v", err)
-	}
-}
 
 // TestLatencyReservoirBounded pushes far more samples than the reservoir
 // holds and checks memory stays capped while the sample keeps admitting

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func tinyEnv() *Env {
@@ -126,8 +127,34 @@ func TestServeShape(t *testing.T) {
 		t.Fatalf("got %d rate rows, want 4", len(tables[0].Rows))
 	}
 	for _, row := range tables[0].Rows {
-		if len(row) != 7 {
-			t.Fatalf("row %v has %d columns, want 7", row, len(row))
+		if len(row) != 8 {
+			t.Fatalf("row %v has %d columns, want 8", row, len(row))
+		}
+	}
+}
+
+// TestOpenLoopDue pins the generator's catch-up arithmetic: a late tick
+// owes every request that came due since the last one, so the rate sent
+// is the rate asked for however the ticker drifts.
+func TestOpenLoopDue(t *testing.T) {
+	for _, c := range []struct {
+		elapsed time.Duration
+		rate    float64
+		issued  int64
+		want    int64
+	}{
+		{0, 1000, 0, 0},
+		{time.Millisecond, 1000, 0, 1},
+		{10 * time.Millisecond, 1000, 1, 9},     // nine ticks dropped: all nine still go out
+		{1500 * time.Microsecond, 1000, 1, 0},   // the next one is not due yet
+		{time.Millisecond, 4000, 0, 4},          // faster than the tick: four per tick
+		{100 * time.Millisecond, 10, 0, 1},      // slower than the tick: most ticks send none
+		{100 * time.Millisecond, 10, 1, 0},      //   ... once it went out
+		{time.Second, 500, 600, 0},              // never negative
+		{2 * time.Second, 32600.5, 60000, 5201}, // ⌊65 201⌋ − 60 000
+	} {
+		if got := due(c.elapsed, c.rate, c.issued); got != c.want {
+			t.Errorf("due(%v, %g, %d) = %d, want %d", c.elapsed, c.rate, c.issued, got, c.want)
 		}
 	}
 }

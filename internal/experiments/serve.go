@@ -28,10 +28,13 @@ import (
 // of unbounded queueing), the requests that failed outright, and the
 // latency of the requests that were served. The offered-rate ladder
 // climbs past the box's capacity so the top rows show the load-shed
-// regime. The generator keeps at most maxOutstanding requests open; a
-// tick past that bound is counted as not sent instead of opening yet
-// another connection. A failure at or below calibrated capacity panics:
-// there the server must answer every request.
+// regime. Each millisecond tick sends every request that has come due
+// (see due), so a late tick catches up instead of lowering the rate; the
+// "sent QPS" column shows the rate that reached the server. The generator
+// keeps at most maxOutstanding requests open; a request due past that
+// bound is counted as not sent instead of opening yet another connection.
+// A failure at or below calibrated capacity panics: there the server must
+// answer every request.
 func (e *Env) Serve(workers int) []Table {
 	name := "audio"
 	ds := e.Dataset(name)
@@ -78,7 +81,7 @@ func (e *Env) Serve(workers int) []Table {
 	tbl := Table{
 		Title: fmt.Sprintf("Open-loop serving — %s (dim=%d, k=%d, workers=%d, binary protocol; ~%.0f QPS closed-loop capacity)",
 			name, dim, k, srv.Engine().Workers(), capacityQPS),
-		Header: []string{"offered QPS", "achieved QPS", "shed rate", "failed", "not sent", "p50", "p99"},
+		Header: []string{"asked QPS", "sent QPS", "achieved QPS", "shed rate", "failed", "not sent", "p50", "p99"},
 	}
 	for _, rate := range rates {
 		res := openLoop(cl.Collection(wire.DefaultCollection), queries, k, rate, 700*time.Millisecond)
@@ -88,6 +91,7 @@ func (e *Env) Serve(workers int) []Table {
 		}
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.0f", rate),
+			fmt.Sprintf("%.0f", res.sentQPS),
 			fmt.Sprintf("%.0f", res.achievedQPS),
 			fmt.Sprintf("%.1f%%", 100*res.shedRate),
 			fmt.Sprint(res.failed),
@@ -134,6 +138,7 @@ func calibrate(col *client.Collection, queries [][]float64, k int) float64 {
 }
 
 type openLoopResult struct {
+	sentQPS         float64 // requests that reached the server, per second of sending
 	achievedQPS     float64
 	shedRate        float64
 	failed, notSent int64
@@ -145,14 +150,17 @@ type openLoopResult struct {
 // holds a loopback connection (two descriptors in this process).
 const maxOutstanding = 256
 
+// due is how many requests an open-loop generator at rate per second
+// still owes after elapsed: ⌊elapsed × rate⌋ minus the issued ones it
+// already sent or counted as not sent.
+func due(elapsed time.Duration, rate float64, issued int64) int64 {
+	return max(int64(elapsed.Seconds()*rate)-issued, 0)
+}
+
 // openLoop fires requests at the offered rate for dur, never waiting for
 // completions (each request runs on its own goroutine, up to
 // maxOutstanding at once), and reports what the server actually absorbed.
 func openLoop(col *client.Collection, queries [][]float64, k int, rate float64, dur time.Duration) openLoopResult {
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
 	var (
 		mu   sync.Mutex
 		res  openLoopResult
@@ -161,48 +169,51 @@ func openLoop(col *client.Collection, queries [][]float64, k int, rate float64, 
 		wg   sync.WaitGroup
 	)
 	slots := make(chan struct{}, maxOutstanding)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()
 	deadline := time.NewTimer(dur)
 	defer deadline.Stop()
 	start := time.Now()
-	i := 0
+	var issued int64
 loop:
 	for {
 		select {
 		case <-ticker.C:
-			select {
-			case slots <- struct{}{}:
-			default:
-				res.notSent++
-				continue
-			}
-			q := queries[i%len(queries)]
-			i++
-			wg.Add(1)
-			go func() {
-				defer func() { <-slots; wg.Done() }()
-				t0 := time.Now()
-				_, err := col.Search(context.Background(), q, k)
-				lat := time.Since(t0)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil:
-					lats = append(lats, lat)
-				case errors.Is(err, client.ErrOverloaded):
-					shed++
+			for n := due(time.Since(start), rate, issued); n > 0; n-- {
+				issued++
+				select {
+				case slots <- struct{}{}:
 				default:
-					res.failed++
-					if res.firstErr == nil {
-						res.firstErr = err
-					}
+					res.notSent++
+					continue
 				}
-			}()
+				q := queries[int(issued)%len(queries)]
+				wg.Add(1)
+				go func() {
+					defer func() { <-slots; wg.Done() }()
+					t0 := time.Now()
+					_, err := col.Search(context.Background(), q, k)
+					lat := time.Since(t0)
+					mu.Lock()
+					defer mu.Unlock()
+					switch {
+					case err == nil:
+						lats = append(lats, lat)
+					case errors.Is(err, client.ErrOverloaded):
+						shed++
+					default:
+						res.failed++
+						if res.firstErr == nil {
+							res.firstErr = err
+						}
+					}
+				}()
+			}
 		case <-deadline.C:
 			break loop
 		}
 	}
+	res.sentQPS = float64(issued-res.notSent) / time.Since(start).Seconds()
 	wg.Wait()
 	wall := time.Since(start)
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"brepartition/internal/engine"
 	"brepartition/internal/obs"
 	"brepartition/internal/wire"
 )
@@ -135,12 +134,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// The unlabeled engine and index series describe the default
 	// collection — the pre-collections contract.
-	var st engine.Stats
+	st := s.Stats()
 	var defN, defLive int
 	var defVersion uint64
 	var defWAL int64
 	if tn, err := s.tenant(wire.DefaultCollection); err == nil {
-		st = tn.eng.Stats()
 		hd := tn.col.Handle
 		defN, defLive, defVersion, defWAL = hd.N(), hd.Live(), hd.Version(), hd.WALSize()
 	}
@@ -156,7 +154,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"breserved_engine_queries_total", g("breserved_engine_queries_total", float64(st.Queries)))
 	emit("Engine queries that returned an error.", "counter",
 		"breserved_engine_errors_total", g("breserved_engine_errors_total", float64(st.Errors)))
-	emit("Mutations routed through the engine.", "counter",
+	emit("Mutations applied to the default collection.", "counter",
 		"breserved_engine_mutations_total", g("breserved_engine_mutations_total", float64(st.Mutations)))
 	emit("Completed queries per second of engine wall time.", "gauge",
 		"breserved_engine_qps", g("breserved_engine_qps", st.QPS))

@@ -225,6 +225,7 @@ type tenant struct {
 
 	requests  counter // requests routed to this collection
 	quotaShed counter // requests shed by its quota
+	mutations counter // successful inserts and deletes
 
 	// hist is the collection's per-stage request-duration histograms:
 	// total always records; traced requests add the stage breakdown.
@@ -398,6 +399,18 @@ func (s *Server) Engine() *engine.Engine {
 		return nil
 	}
 	return tn.eng
+}
+
+// Stats is the default collection's engine statistics with the mutations
+// the server applied beside the engine; zero without a default collection.
+func (s *Server) Stats() engine.Stats {
+	tn, err := s.tenant(wire.DefaultCollection)
+	if err != nil {
+		return engine.Stats{}
+	}
+	st := tn.eng.Stats()
+	st.Mutations = tn.mutations.Load()
+	return st
 }
 
 // Close drains every collection's serving pipeline: engines stop
@@ -718,8 +731,11 @@ func (s *Server) serveOp(tn *tenant, r *http.Request, req wire.Request) (wire.Re
 	case wire.OpInsert:
 		// The durable index checks dimensionality and domain before it logs.
 		var id int
-		id, err = tn.eng.Insert(req.Queries[0])
+		id, err = tn.col.Handle.Insert(req.Queries[0])
 		resp.Value = int64(id)
+		if err == nil {
+			tn.mutations.Add(1)
+		}
 		if err == nil && len(req.Tags) > 0 {
 			if err = tn.col.Tags.Add(id, req.Tags); err != nil {
 				// The point is in; its tags are not. Surface the failure:
@@ -729,9 +745,12 @@ func (s *Server) serveOp(tn *tenant, r *http.Request, req wire.Request) (wire.Re
 		}
 	case wire.OpDelete:
 		var deleted bool
-		deleted, err = tn.eng.Delete(req.ID)
+		deleted, err = tn.col.Handle.Delete(req.ID)
 		if deleted {
 			resp.Value = 1
+		}
+		if deleted && err == nil {
+			tn.mutations.Add(1)
 		}
 	}
 	return resp, err

@@ -142,15 +142,3 @@ func (d *Durable) ColdDir() string {
 func (d *Durable) EnsureColdTier(cfg coldtier.Config) error {
 	return d.ix.EnsureColdTier(d.ColdDir(), cfg)
 }
-
-// HasColdTier reports whether every populated shard has a tier attached.
-func (d *Durable) HasColdTier() bool { return d.ix.HasColdTier() }
-
-// ColdStats sums the per-shard tier counters; ok is false without tiers.
-func (d *Durable) ColdStats() (coldtier.TierStats, bool) { return d.ix.ColdStats() }
-
-// ColdFallbacks counts cold searches served hot (missing or stale tier).
-func (d *Durable) ColdFallbacks() int64 { return d.ix.ColdFallbacks() }
-
-// CloseColdTier detaches and closes the per-shard tiers.
-func (d *Durable) CloseColdTier() error { return d.ix.CloseColdTier() }

@@ -136,11 +136,11 @@ func TestDurableColdCompactionFallsBackHot(t *testing.T) {
 	if err := d.EnsureColdTier(shardColdCfg()); err != nil {
 		t.Fatal(err)
 	}
-	base := d.ColdFallbacks()
+	base := d.ix.ColdFallbacks()
 	if _, err := d.CompactShard(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.HasColdTier() {
+	if d.ix.HasColdTier() {
 		t.Fatal("HasColdTier should be false after compaction replaced a slot")
 	}
 
@@ -158,7 +158,7 @@ func TestDurableColdCompactionFallsBackHot(t *testing.T) {
 			t.Fatalf("post-compaction cold diverged at %d", i)
 		}
 	}
-	if d.ColdFallbacks() == base {
+	if d.ix.ColdFallbacks() == base {
 		t.Fatal("compacted slot's hot serve was not counted")
 	}
 
@@ -166,14 +166,14 @@ func TestDurableColdCompactionFallsBackHot(t *testing.T) {
 	if err := d.EnsureColdTier(shardColdCfg()); err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasColdTier() {
+	if !d.ix.HasColdTier() {
 		t.Fatal("HasColdTier = false after re-ensure")
 	}
-	after := d.ColdFallbacks()
+	after := d.ix.ColdFallbacks()
 	if _, err := searchCold(d, q, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.ColdFallbacks(); got != after {
+	if got := d.ix.ColdFallbacks(); got != after {
 		t.Fatalf("re-ensured tiers still falling back: %d -> %d", after, got)
 	}
 }

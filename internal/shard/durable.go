@@ -477,6 +477,10 @@ func (d *Durable) WALSize() int64 { return d.wal.Size() }
 
 // --- read path: straight delegation to the sharded index -----------------
 
+// Index returns the sharded index the durable layer logs mutations for;
+// read through it, mutate through the Durable.
+func (d *Durable) Index() *Index { return d.ix }
+
 // Query answers q from the sharded index; durability adds nothing to a
 // read (see Index.Query).
 func (d *Durable) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
@@ -487,34 +491,3 @@ func (d *Durable) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 func (d *Durable) Search(q []float64, k int) (core.Result, error) {
 	return d.ix.Query(nil, &core.Query{Vec: q, K: k})
 }
-
-// Divergence returns the divergence the index was built with.
-func (d *Durable) Divergence() bregman.Divergence { return d.ix.Divergence() }
-
-// Version counts mutations; it never moves backwards, not even across
-// recovery.
-func (d *Durable) Version() uint64 { return d.ix.Version() }
-
-// N returns the number of ids ever assigned.
-func (d *Durable) N() int { return d.ix.N() }
-
-// Live returns the number of non-deleted points.
-func (d *Durable) Live() int { return d.ix.Live() }
-
-// Dim returns the indexed dimensionality.
-func (d *Durable) Dim() int { return d.ix.Dim() }
-
-// M returns the per-shard partition count.
-func (d *Durable) M() int { return d.ix.M() }
-
-// Shards returns the shard count.
-func (d *Durable) Shards() int { return d.ix.Shards() }
-
-// ShardSizes returns how many ids each shard holds (incl. tombstones).
-func (d *Durable) ShardSizes() []int { return d.ix.ShardSizes() }
-
-// ShardLiveSizes returns how many live points each shard holds.
-func (d *Durable) ShardLiveSizes() []int { return d.ix.ShardLiveSizes() }
-
-// Deleted reports whether global id g is tombstoned.
-func (d *Durable) Deleted(g int) bool { return d.ix.Deleted(g) }

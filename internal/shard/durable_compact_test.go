@@ -21,7 +21,7 @@ func TestDurableCompactionKillPoints(t *testing.T) {
 	// compacting; every mutation is acknowledged and tracked.
 	for i := 0; i < 18; i++ {
 		if i%3 == 2 {
-			victim := (i * 7) % d.N()
+			victim := (i * 7) % d.ix.N()
 			ok, err := d.Delete(victim)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +60,7 @@ func TestDurableCompactionKillPoints(t *testing.T) {
 	}
 
 	preWAL := d.WALSize()
-	for s := 0; s < d.Shards(); s++ {
+	for s := 0; s < d.ix.Shards(); s++ {
 		s := s
 		d.ckptHook = func(stage string) { take(fmt.Sprintf("shard%d-%s", s, stage)) }
 		st, err := d.CompactShard(s)
@@ -84,7 +84,7 @@ func TestDurableCompactionKillPoints(t *testing.T) {
 	}
 	// Five hook stages per shard: compact-begin, compact-swapped, and the
 	// checkpoint's begin/committed/truncated.
-	if want := d.Shards() * 5; len(snaps) != want {
+	if want := d.ix.Shards() * 5; len(snaps) != want {
 		t.Fatalf("captured %d crash windows, want %d", len(snaps), want)
 	}
 	verifyAgainst(t, d, m, "live post-compaction")
@@ -119,12 +119,12 @@ func TestDurableCompactThenMutateAndRecover(t *testing.T) {
 			m.delete(victim)
 		}
 	}
-	for s := 0; s < d.Shards(); s++ {
+	for s := 0; s < d.ix.Shards(); s++ {
 		if _, err := d.CompactShard(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ver := d.Version()
+	ver := d.ix.Version()
 	for i := 0; i < 10; i++ {
 		p := uniquePoint(9000+i, dim)
 		if _, err := d.Insert(p); err != nil {
@@ -132,9 +132,9 @@ func TestDurableCompactThenMutateAndRecover(t *testing.T) {
 		}
 		m.insert(p)
 	}
-	if d.Version() != ver+10 {
+	if d.ix.Version() != ver+10 {
 		t.Fatalf("Version %d after 10 post-compaction inserts on %d — not continuous",
-			d.Version(), ver)
+			d.ix.Version(), ver)
 	}
 	crash := filepath.Join(t.TempDir(), "crash")
 	copyTree(t, root, crash)

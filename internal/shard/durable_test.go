@@ -62,15 +62,15 @@ func (m *durModel) fingerprint() string {
 }
 
 func durFingerprint(d *Durable) string {
-	ids := make([]byte, d.N())
+	ids := make([]byte, d.ix.N())
 	for g := range ids {
-		if d.Deleted(g) {
+		if d.ix.Deleted(g) {
 			ids[g] = 'x'
 		} else {
 			ids[g] = '.'
 		}
 	}
-	return fmt.Sprintf("%d:%s", d.N(), ids)
+	return fmt.Sprintf("%d:%s", d.ix.N(), ids)
 }
 
 // verifyAgainst checks the recovered index serves exactly the model's
@@ -172,7 +172,7 @@ func TestDurableBuildMutateCloseOpen(t *testing.T) {
 	d, m, root := buildDurTest(t, 24, 4)
 	for i := 0; i < 30; i++ {
 		if i%4 == 3 {
-			victim := (i * 5) % d.N()
+			victim := (i * 5) % d.ix.N()
 			ok, err := d.Delete(victim)
 			if err != nil {
 				t.Fatal(err)
@@ -306,7 +306,7 @@ func TestDurableKillPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < mutations; i++ {
 		if i%5 == 4 {
-			victim := rng.Intn(d.N())
+			victim := rng.Intn(d.ix.N())
 			ok, err := d.Delete(victim)
 			if err != nil {
 				t.Fatal(err)
@@ -388,10 +388,10 @@ func TestDurableKillPoints(t *testing.T) {
 		if !prefixes[fp] {
 			t.Fatalf("cut=%d: recovered %q is not an acknowledged prefix", cut, fp)
 		}
-		if prevN >= 0 && r.N() > prevN {
-			t.Fatalf("cut=%d: deeper cut recovered MORE state (%d > %d ids)", cut, r.N(), prevN)
+		if prevN >= 0 && r.ix.N() > prevN {
+			t.Fatalf("cut=%d: deeper cut recovered MORE state (%d > %d ids)", cut, r.ix.N(), prevN)
 		}
-		prevN = r.N()
+		prevN = r.ix.N()
 		r.Close()
 	}
 
@@ -549,8 +549,8 @@ func TestDurableConcurrentGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.N() != 8+goroutines*perG {
-		t.Fatalf("recovered %d ids, want %d", r.N(), 8+goroutines*perG)
+	if r.ix.N() != 8+goroutines*perG {
+		t.Fatalf("recovered %d ids, want %d", r.ix.N(), 8+goroutines*perG)
 	}
 	for _, a := range all {
 		res, err := r.Search(a.p, 1)

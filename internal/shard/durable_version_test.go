@@ -35,7 +35,7 @@ func buildDurableFixture(t *testing.T, n int) (*Durable, [][]float64, string) {
 func TestDurableVersionSurvivesRecovery(t *testing.T) {
 	dx, points, root := buildDurableFixture(t, 60)
 
-	if got := dx.Version(); got != 0 {
+	if got := dx.ix.Version(); got != 0 {
 		t.Fatalf("fresh durable Version = %d, want 0", got)
 	}
 	// Mutate: 5 inserts + 1 delete = 6 WAL records.
@@ -48,7 +48,7 @@ func TestDurableVersionSurvivesRecovery(t *testing.T) {
 		t.Fatalf("Delete(0) = %v, %v", ok, err)
 	}
 	wantVer := uint64(6)
-	if got := dx.Version(); got != wantVer {
+	if got := dx.ix.Version(); got != wantVer {
 		t.Fatalf("live Version = %d, want %d", got, wantVer)
 	}
 	if err := dx.Close(); err != nil {
@@ -61,7 +61,7 @@ func TestDurableVersionSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dx2.Version(); got != wantVer {
+	if got := dx2.ix.Version(); got != wantVer {
 		t.Fatalf("WAL-recovered Version = %d, want %d", got, wantVer)
 	}
 
@@ -82,7 +82,7 @@ func TestDurableVersionSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dx3.Close()
-	if got := dx3.Version(); got != wantVer {
+	if got := dx3.ix.Version(); got != wantVer {
 		t.Fatalf("checkpoint-folded Version = %d, want %d (snapshot LSN must seed the counter)", got, wantVer)
 	}
 }
@@ -113,7 +113,7 @@ func TestDurableVersionCheckpointOverlap(t *testing.T) {
 	if err := dx.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	wantVer := dx.Version() // 4 mutations
+	wantVer := dx.ix.Version() // 4 mutations
 	if wantVer != 4 {
 		t.Fatalf("pre-close Version = %d, want 4", wantVer)
 	}
@@ -126,10 +126,10 @@ func TestDurableVersionCheckpointOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dx2.Close()
-	if got := dx2.Version(); got != wantVer {
+	if got := dx2.ix.Version(); got != wantVer {
 		t.Fatalf("recovered Version = %d, want %d (overlap echo must still count)", got, wantVer)
 	}
-	if got := dx2.N(); got != 64 {
+	if got := dx2.ix.N(); got != 64 {
 		t.Fatalf("recovered N = %d, want 64", got)
 	}
 }

@@ -137,28 +137,28 @@ func (h *Handle) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 }
 
 // Version counts mutations; continuous across reloads.
-func (h *Handle) Version() uint64 { return h.cur.Load().Version() }
+func (h *Handle) Version() uint64 { return h.cur.Load().ix.Version() }
 
 // N returns the number of ids ever assigned.
-func (h *Handle) N() int { return h.cur.Load().N() }
+func (h *Handle) N() int { return h.cur.Load().ix.N() }
 
 // Live returns the number of non-deleted points.
-func (h *Handle) Live() int { return h.cur.Load().Live() }
+func (h *Handle) Live() int { return h.cur.Load().ix.Live() }
 
 // Dim returns the indexed dimensionality.
-func (h *Handle) Dim() int { return h.cur.Load().Dim() }
+func (h *Handle) Dim() int { return h.cur.Load().ix.Dim() }
 
 // M returns the per-shard partition count.
-func (h *Handle) M() int { return h.cur.Load().M() }
+func (h *Handle) M() int { return h.cur.Load().ix.M() }
 
 // Shards returns the shard count.
-func (h *Handle) Shards() int { return h.cur.Load().Shards() }
+func (h *Handle) Shards() int { return h.cur.Load().ix.Shards() }
 
 // Deleted reports whether global id g is tombstoned.
-func (h *Handle) Deleted(g int) bool { return h.cur.Load().Deleted(g) }
+func (h *Handle) Deleted(g int) bool { return h.cur.Load().ix.Deleted(g) }
 
 // Divergence returns the divergence the index was built with.
-func (h *Handle) Divergence() bregman.Divergence { return h.cur.Load().Divergence() }
+func (h *Handle) Divergence() bregman.Divergence { return h.cur.Load().ix.Divergence() }
 
 // WALSize returns the current generation's live WAL bytes.
 func (h *Handle) WALSize() int64 { return h.cur.Load().WALSize() }
@@ -242,7 +242,7 @@ func (h *Handle) DisableColdTier() error {
 	h.coldCfg.Store(nil)
 	h.swapMu.RLock()
 	defer h.swapMu.RUnlock()
-	return h.cur.Load().CloseColdTier()
+	return h.cur.Load().ix.CloseColdTier()
 }
 
 // ColdTierEnabled reports whether exact searches route through the tier.
@@ -250,9 +250,9 @@ func (h *Handle) ColdTierEnabled() bool { return h.coldCfg.Load() != nil }
 
 // ColdStats sums the current generation's per-shard tier counters.
 func (h *Handle) ColdStats() (coldtier.TierStats, bool) {
-	return h.cur.Load().ColdStats()
+	return h.cur.Load().ix.ColdStats()
 }
 
 // ColdFallbacks counts cold searches served hot on the current
 // generation (missing or stale per-shard tiers).
-func (h *Handle) ColdFallbacks() int64 { return h.cur.Load().ColdFallbacks() }
+func (h *Handle) ColdFallbacks() int64 { return h.cur.Load().ix.ColdFallbacks() }

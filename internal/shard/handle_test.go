@@ -145,8 +145,8 @@ func TestHandleReloadUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	if nd.N() != len(pts)+1 || nd.Version() != verBefore+1 {
-		t.Fatalf("reopened: N=%d version=%d, want %d/%d", nd.N(), nd.Version(), len(pts)+1, verBefore+1)
+	if nd.ix.N() != len(pts)+1 || nd.ix.Version() != verBefore+1 {
+		t.Fatalf("reopened: N=%d version=%d, want %d/%d", nd.ix.N(), nd.ix.Version(), len(pts)+1, verBefore+1)
 	}
 }
 

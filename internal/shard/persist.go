@@ -389,6 +389,42 @@ func ReadDirMeta(dir string, opts Options) (*Index, []byte, error) {
 	return ix, meta, nil
 }
 
+// WriteFile persists a one-shard index as the single core index file that
+// ReadFile loads back. Only an index whose global ids are its one core
+// index's ids has that shape, and only one without tombstones, which the
+// core format does not carry (a reloaded tombstone would count as live
+// and reappear in a cold tier built over it); any other index writes a
+// snapshot with WriteDir.
+func (ix *Index) WriteFile(path string) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.slots) != 1 || ix.slots[0] == nil || len(ix.slots[0].l2g) != len(ix.globalLoc) {
+		return fmt.Errorf("shard: WriteFile needs one shard owning every id (have %d shards); use WriteDir", len(ix.slots))
+	}
+	if ix.nDeleted > 0 {
+		return fmt.Errorf("shard: WriteFile cannot record %d deleted ids; use WriteDir", ix.nDeleted)
+	}
+	return ix.slots[0].sub.WriteFile(path)
+}
+
+// ReadFile loads a core index file (core.WriteFile, Index.WriteFile) as a
+// one-shard index whose global ids are the file's ids.
+func ReadFile(path string) (*Index, error) {
+	sub, err := core.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	n := sub.N()
+	ix := &Index{div: sub.Div, d: sub.Dim(), opts: Options{Shards: 1, Core: core.Options{M: sub.M()}},
+		globalLoc: make([]loc, n), deleted: make([]bool, n), version: sub.Version()}
+	l2g := make([]int, n)
+	for g := range l2g {
+		l2g[g], ix.globalLoc[g] = g, loc{local: int32(g)}
+	}
+	ix.slots = []*slot{{sub: sub, l2g: l2g}}
+	return ix, nil
+}
+
 // fileChecksum streams path once, returning its size and CRC32.
 func fileChecksum(path string) (uint64, uint32, error) {
 	f, err := os.Open(path)

@@ -214,7 +214,7 @@ func matrixLayers(t *testing.T, div bregman.Divergence, pts [][]float64) []*matr
 	t.Cleanup(func() { d.Close() })
 	layers = append(layers, &matrixLayer{
 		name: "durable", b: d, insert: d.Insert, delete: d.Delete, sharded: d.ix, compact: compactOf(d.CompactShard),
-		tiers: true, coldFallbacks: d.ColdFallbacks,
+		tiers: true, coldFallbacks: d.ix.ColdFallbacks,
 		shorthands: func(q []float64, k int, _ float64) []shorthand {
 			return []shorthand{{"Search", func() ([]topk.Item, error) { return items(d.Search(q, k)) }, core.Query{Vec: q, K: k}}}
 		},
@@ -236,10 +236,11 @@ func matrixLayers(t *testing.T, div bregman.Divergence, pts [][]float64) []*matr
 		})
 	}
 
+	// The engine schedules queries only: mutations go to the index beside it.
 	sx := buildSharded(3)
 	e := engine.New(sx, engine.Config{Workers: 2})
 	layers = append(layers, &matrixLayer{
-		name: "engine", b: engineQuerier{e}, insert: e.Insert, delete: e.Delete, sharded: sx, compact: compactOf(sx.CompactShard),
+		name: "engine", b: engineQuerier{e}, insert: sx.Insert, delete: boolDelete(sx.Delete), sharded: sx, compact: compactOf(sx.CompactShard),
 		tiers: true, coldFallbacks: sx.ColdFallbacks,
 		shorthands: func(q []float64, k int, _ float64) []shorthand {
 			return []shorthand{

@@ -350,7 +350,10 @@ func (ix *Index) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 	if err := q.Validate(ix.div, ix.d); err != nil {
 		return core.Result{}, err
 	}
-	parts := ix.fork(q)
+	if len(ix.slots) == 1 {
+		return ix.queryOne(dst, q)
+	}
+	parts := ix.fork(make([]part, 0, len(ix.slots)), q)
 	var start time.Time
 	if q.Trace != nil {
 		start = time.Now()
@@ -378,6 +381,35 @@ func (ix *Index) Query(dst []topk.Item, q *core.Query) (core.Result, error) {
 	return ix.merge(dst, q, parts), nil
 }
 
+// queryOne is Query on a one-shard index, run in the caller without a
+// heap-allocated parts slice. The shard appends straight to dst in
+// (distance, local id) order, which is global id order, so merging is
+// translating the ids in place: a steady-state exact query with a reused
+// dst allocates nothing.
+func (ix *Index) queryOne(dst []topk.Item, q *core.Query) (core.Result, error) {
+	var buf [1]part
+	parts := ix.fork(buf[:0], q)
+	if len(parts) == 0 {
+		return core.Result{Items: dst, Stats: core.SearchStats{ApproxC: 1}}, nil
+	}
+	p := &parts[0]
+	start := time.Now()
+	res, err := p.sl.sub.Query(dst, &p.q)
+	if err != nil {
+		return core.Result{}, err
+	}
+	q.Trace.AddShard(obs.ShardSpan{Run: time.Since(start), Items: len(res.Items) - len(dst), Candidates: res.Stats.Candidates})
+	ix.mu.RLock()
+	for i := len(dst); i < len(res.Items); i++ {
+		res.Items[i].ID = p.sl.l2g[res.Items[i].ID]
+	}
+	ix.mu.RUnlock()
+	if res.Stats.ApproxC == 0 {
+		res.Stats.ApproxC = 1
+	}
+	return res, nil
+}
+
 // part is one live shard's share of a query: the slot generation it runs
 // against, its sub-query, and what it answered. A query's parts are one
 // allocation.
@@ -399,10 +431,10 @@ func (p *part) run(start time.Time) {
 }
 
 // fork captures the live slot generations and derives each one's
-// sub-query, so the shards answer, and merge translates, against exactly
-// those generations — a compaction swap during the query cannot misdirect
-// the local→global translation.
-func (ix *Index) fork(q *core.Query) []part {
+// sub-query, appended to parts, so the shards answer, and merge
+// translates, against exactly those generations — a compaction swap
+// during the query cannot misdirect the local→global translation.
+func (ix *Index) fork(parts []part, q *core.Query) []part {
 	// Capture the slot generations and, for a filter, their l2g slice
 	// headers under one read lock: l2g is appended under the id-map write
 	// lock and append may reallocate the backing array, so reading the
@@ -412,7 +444,6 @@ func (ix *Index) fork(q *core.Query) []part {
 	// consistent with the mutation-atomicity contract (the query observes
 	// the index before that insert).
 	ix.mu.RLock()
-	parts := make([]part, 0, len(ix.slots))
 	for s, sl := range ix.slots {
 		if sl == nil {
 			continue

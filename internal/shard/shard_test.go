@@ -313,3 +313,35 @@ func TestShardedQueryAllocs(t *testing.T) {
 		t.Fatalf("sharded Query allocates %.1f times per call over 4 shards, want ≤ 12", allocs)
 	}
 }
+
+// TestOneShardQueryAllocs pins the one-shard path every single-index
+// build takes: a steady-state exact, untraced query with a reused dst
+// runs the shard in the caller and translates ids in place, so it
+// allocates nothing, exactly like the core index beneath it.
+func TestOneShardQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(9))
+	points := genPoints(rng, 400, 12)
+	sx, err := Build(bregman.ItakuraSaito{}, points, Options{Shards: 1, Core: core.Options{M: 3, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &core.Query{Vec: points[17], K: 10}
+	res, err := sx.Query(nil, q) // warm the pooled search context
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := res.Items
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := sx.Query(dst[:0], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = res.Items
+	})
+	if allocs != 0 {
+		t.Fatalf("one-shard Query allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -237,8 +237,9 @@ func (s *Server) Handler() http.Handler { return s.cols.Handler() }
 // wrapper, so a deployment can grow tenants without reconstruction.
 func (s *Server) Collections() *Collections { return s.cols }
 
-// Stats snapshots the default collection's engine statistics.
-func (s *Server) Stats() EngineStats { return s.cols.inner.Engine().Stats() }
+// Stats snapshots the default collection's engine statistics; Mutations
+// counts the inserts and deletes the server applied to it.
+func (s *Server) Stats() EngineStats { return s.cols.inner.Stats() }
 
 // Divergence returns the divergence the default index was built with.
 func (s *Server) Divergence() Divergence {
